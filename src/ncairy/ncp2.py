@@ -324,8 +324,9 @@ def _reverse_cumulative(f: np.ndarray, h: float, tail_const) -> np.ndarray:
 
 
 def _rk4_rhs(S: float, b: np.ndarray, db: np.ndarray, delta: np.ndarray):
-    sm = np.diag(S + delta).astype(complex)
-    return db, 4.0 * (sm @ b + b @ sm) + 8.0 * b @ b @ b
+    # {s, b} with s diagonal, elementwise: no diag matrix and no matmuls
+    sv = S + delta
+    return db, 4.0 * (sv[:, None] * b + b * sv[None, :]) + 8.0 * b @ b @ b
 
 
 def _rk4_step(S: float, b: np.ndarray, db: np.ndarray, step: float, delta: np.ndarray):
@@ -379,7 +380,8 @@ def _fill_uniform_tail(tail: PicardTail, s_up: np.ndarray, h: float,
 
 
 def _blown(b: np.ndarray) -> bool:
-    return (not np.all(np.isfinite(b))) or float(np.max(np.abs(b))) > _BLOWUP
+    # one reduction: a nan or inf maximum fails the comparison too
+    return not (np.abs(b).max() <= _BLOWUP)
 
 
 def hm_continue(C: CouplingMatrix, delta, start, S_min: float, h: float = 1e-3) -> HMGrid:
@@ -458,14 +460,29 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     The tail start is raised by 0.5 (at most four times) if the Picard map
     fails to contract.  The start is snapped to a multiple of h so query
     points that are multiples of h land exactly on grid nodes.
+
+    The equation is odd in beta1 and the Airy seed is linear in C, so
+    beta1(-C) = -beta1(C), and every step of the solve preserves this
+    exactly, since rounding is symmetric in sign (only the sign of an exact
+    zero can differ).  A -C grid is therefore served as the exact negation
+    of a cached +C grid, with no Picard or RK4 work.  cached=False neither
+    reads nor writes the cache.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     s0 = max(s0, 1.0 + m)
     s0 = round(s0 / h) * h
-    key = (C.entries.tobytes(), delta.tobytes(), float(S_min), float(h), s0, n_tail, tol)
-    if cached and key in _GRID_CACHE:
-        return _GRID_CACHE[key]
+    rest = (delta.tobytes(), float(S_min), float(h), s0, n_tail, tol)
+    key = (C.entries.tobytes(),) + rest
+    if cached:
+        if key in _GRID_CACHE:
+            return _GRID_CACHE[key]
+        mirror = _GRID_CACHE.get(((-C.entries).tobytes(),) + rest)
+        if mirror is not None:
+            grid = HMGrid(C, delta, mirror.S_values, -mirror.beta1, -mirror.dbeta1,
+                          mirror.S_tail, mirror.h, mirror.pole_at)
+            _GRID_CACHE[key] = grid
+            return grid
     last_exc = None
     for attempt in range(5):
         try:

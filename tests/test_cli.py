@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,18 @@ def test_det_json_round_trip(capsys):
                         "est_error", "converged"}
     assert rec["value"]["re"] == pytest.approx(0.8319080662, abs=1e-6)
     assert rec["converged"] is True
+
+
+def test_python_dash_m_entry_point(capsys):
+    argv = ["det", "--kind", "contour", "--sign", "-1", "--format", "json"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ncairy", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, out, _ = _run(argv, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_f2_monotone_csv(capsys):

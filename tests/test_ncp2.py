@@ -18,7 +18,8 @@ from ncairy import (
     ncp2_residual,
     zero_curvature_residual_p2,
 )
-from ncairy.ncp2 import _rk4_step
+from ncairy import ncp2
+from ncairy.ncp2 import _blown, _rk4_step
 
 C1 = CouplingMatrix(np.array([[1.0]]))
 C2 = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
@@ -73,9 +74,13 @@ def test_residual_fourth_order_decay():
 
 
 def test_parity_odd_in_coupling():
-    g_plus = hm_solve(CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]])), D2, S_min=-0.5)
-    g_minus = hm_solve(CouplingMatrix(np.array([[-0.6, -0.2], [-0.2, -0.5]])), D2, S_min=-0.5)
-    assert float(np.max(np.abs(g_plus.beta1 + g_minus.beta1))) <= 1e-12
+    # two fresh solves, so the check does not rest on the cache's mirror
+    g_plus = hm_solve(CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]])), D2,
+                      S_min=-0.5, cached=False)
+    g_minus = hm_solve(CouplingMatrix(np.array([[-0.6, -0.2], [-0.2, -0.5]])), D2,
+                       S_min=-0.5, cached=False)
+    assert np.array_equal(g_plus.beta1, -g_minus.beta1)
+    assert np.array_equal(g_plus.dbeta1, -g_minus.dbeta1)
 
 
 def test_hermiticity(grid2):
@@ -150,3 +155,123 @@ def test_interpolation_consistency(grid1):
     i = grid1.index_of(0.25)
     s_node = float(grid1.S_values[i])
     assert np.max(np.abs(grid1.beta1_at(s_node) - grid1.beta1[i])) <= 1e-13
+
+
+MIRROR_CASES = {
+    "r1": (np.array([[0.8]]), [0.0]),
+    "r2_complex_hermitian": (C2.entries, D2),
+    "r2_zero_entries": (np.array([[0.6, 0.0], [0.0, 0.5]]), D2),
+    "r3": (np.array([[0.5, 0.1, 0.05j], [0.1, 0.4, 0.2], [-0.05j, 0.2, 0.3]]),
+           [-0.2, 0.0, 0.4]),
+}
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(ncp2, "_GRID_CACHE", cache)
+    return cache
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    calls = []
+    picard = ncp2.hm_tail_picard
+
+    def counting(*a, **k):
+        calls.append(a)
+        return picard(*a, **k)
+
+    monkeypatch.setattr(ncp2, "hm_tail_picard", counting)
+    return calls
+
+
+@pytest.mark.parametrize("first", ["plus", "minus"])
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_mirrored_grid_matches_fresh_solve(case, first, fresh_cache, solve_counter):
+    entries, delta = MIRROR_CASES[case]
+    c = CouplingMatrix(entries)
+    solved, mirrored = (c, c.negated()) if first == "plus" else (c.negated(), c)
+    hm_solve(solved, delta, S_min=-0.5)
+    assert len(solve_counter) == 1
+    grid = hm_solve(mirrored, delta, S_min=-0.5)
+    assert len(solve_counter) == 1   # served from the cached opposite sign
+    assert hm_solve(mirrored, delta, S_min=-0.5) is grid
+    assert grid.C is mirrored
+    ref = hm_solve(mirrored, delta, S_min=-0.5, cached=False)
+    assert len(solve_counter) == 2
+    # np.array_equal is bit equality up to the sign of exact zeros, which
+    # the solver itself does not fix (a fresh -C solve can yield -0.0)
+    for name in ("S_values", "beta1", "dbeta1"):
+        assert np.array_equal(getattr(grid, name), getattr(ref, name)), name
+    assert grid.S_tail == ref.S_tail and grid.h == ref.h
+    assert grid.pole_at is None and ref.pole_at is None
+    assert len(fresh_cache) == 2
+
+
+def test_supercritical_pair_poles_agree(fresh_cache):
+    c = CouplingMatrix(np.array([[1.5]]))
+    errs = []
+    for cc in (c, c.negated()):
+        with pytest.raises(PoleEncountered) as exc:
+            hm_solve(cc, [0.0], S_min=-3.0)
+        errs.append(exc.value)
+    assert errs[0].pole_at == errs[1].pole_at
+    assert np.array_equal(errs[0].grid.beta1, -errs[1].grid.beta1)
+    assert fresh_cache == {}   # pole outcomes are not cached
+
+
+class _NoAccess(dict):
+    def _refuse(self, *a, **k):
+        raise AssertionError("grid cache touched")
+
+    __getitem__ = __setitem__ = __contains__ = get = setdefault = _refuse
+
+
+def test_uncached_solve_leaves_cache_alone(monkeypatch):
+    cache = _NoAccess()
+    monkeypatch.setattr(ncp2, "_GRID_CACHE", cache)
+    grid = hm_solve(C1, [0.0], S_min=-0.5, cached=False)
+    assert grid.pole_at is None
+    assert len(cache) == 0
+
+
+def _seed_rhs(S, b, db, delta):
+    sm = np.diag(S + delta).astype(complex)
+    return db, 4.0 * (sm @ b + b @ sm) + 8.0 * b @ b @ b
+
+
+def _seed_step(S, b, db, step, delta):
+    k1b, k1d = _seed_rhs(S, b, db, delta)
+    k2b, k2d = _seed_rhs(S + 0.5 * step, b + 0.5 * step * k1b, db + 0.5 * step * k1d, delta)
+    k3b, k3d = _seed_rhs(S + 0.5 * step, b + 0.5 * step * k2b, db + 0.5 * step * k2d, delta)
+    k4b, k4d = _seed_rhs(S + step, b + step * k3b, db + step * k3d, delta)
+    bn = b + (step / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    dbn = db + (step / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return bn, dbn
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_rk4_step_matches_matrix_form(r):
+    # the elementwise anticommutator must reproduce diag-matrix products exactly
+    rng = np.random.default_rng(r)
+    delta = rng.uniform(-0.4, 0.4, r)
+    b = 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    db = 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    ref_b, ref_db = b, db
+    s_cur, h = 1.0, 1e-3
+    for _ in range(200):
+        b, db = _rk4_step(s_cur, b, db, -h, delta)
+        ref_b, ref_db = _seed_step(s_cur, ref_b, ref_db, -h, delta)
+        s_cur -= h
+        assert b.tobytes() == ref_b.tobytes() and db.tobytes() == ref_db.tobytes()
+
+
+def test_blown_flags_nonfinite_and_large():
+    ok = np.array([[1e8, -1e8], [1e8j, 0.5]], dtype=complex)
+    assert not _blown(ok)
+    for bad in (np.nan, complex(0.0, np.nan), np.inf, -np.inf, complex(0.0, -np.inf),
+                np.nextafter(1e8, np.inf), -2e8, 2e8j):
+        b = ok.copy()
+        b[1, 0] = bad
+        assert _blown(b), bad
