@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,8 +18,8 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import NcairyError, PoleEncountered
-from .fredholm import half_line_cutoff, half_line_rule, nystrom_det, nystrom_det_contour
-from .kernels import CouplingMatrix, ShiftVector, matrix_airy_kernel, matrix_airy_sq_kernel
+from .fredholm import nystrom_det_contour
+from .kernels import CouplingMatrix, ShiftVector
 from .ncp2 import hm_solve
 from .tw import GapQuery, det_airy, det_airy_sq, existence_scan, scalar_f1, scalar_f2
 
@@ -36,9 +35,7 @@ class RunConfig:
     coupling_re: list = field(default_factory=lambda: [1.0])
     coupling_im: list = field(default_factory=list)
     quad_nodes: int = 40
-    quad_cutoff: float | None = None
     hm_s0: float = 2.0
-    hm_smax: float | None = None
     hm_step: float = 1e-3
     hm_tol: float = 1e-12
     output_format: str = "csv"
@@ -155,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="xto", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--nodes", type=int)
-    p.add_argument("--cutoff", type=float)
     p.add_argument("--s0", type=float)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"])
@@ -183,8 +179,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.coupling_im = [float(v) for v in args.coupling_im.split(",")]
     if args.nodes is not None:
         cfg.quad_nodes = args.nodes
-    if args.cutoff is not None:
-        cfg.quad_cutoff = args.cutoff
     if args.s0 is not None:
         cfg.hm_s0 = args.s0
     if args.fmt is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
-from .kernels import CouplingMatrix, ShiftVector, contour_symbol
+from .kernels import CouplingMatrix, ShiftVector, contour_symbol, power_iteration
 
 __all__ = [
     "QuadratureRule",
@@ -32,11 +32,17 @@ _REFINE_CAP = 320
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights together with a domain descriptor."""
+    """Nodes and positive weights of a rule on the interval [a, b].
+
+    Refinement rebuilds the rule as an m-node Gauss-Legendre rule mapped
+    affinely onto [a, b]; gauss_legendre gives [-1, 1] and half_line_rule
+    gives [0, cutoff].
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: dict
+    a: float
+    b: float
 
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape:
@@ -91,7 +97,7 @@ def gauss_legendre(m: int) -> QuadratureRule:
     # enforce exact symmetry about 0
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
-    return QuadratureRule(x, w, {"kind": "interval", "a": -1.0, "b": 1.0})
+    return QuadratureRule(x, w, -1.0, 1.0)
 
 
 def half_line_cutoff(s: ShiftVector) -> float:
@@ -99,13 +105,16 @@ def half_line_cutoff(s: ShiftVector) -> float:
     return 40.0 + 2.0 * max(0.0, -2.0 * float(np.min(s.s)))
 
 
+def _interval_rule(m: int, a: float, b: float) -> QuadratureRule:
+    """Gauss-Legendre rule mapped affinely from [-1, 1] to [a, b]."""
+    base = gauss_legendre(m)
+    half = 0.5 * (b - a)
+    return QuadratureRule(a + half * (base.nodes + 1.0), half * base.weights, a, b)
+
+
 def half_line_rule(m: int, cutoff: float) -> QuadratureRule:
     """Gauss-Legendre rule mapped affinely from [-1,1] to [0, cutoff]."""
-    base = gauss_legendre(m)
-    half = 0.5 * cutoff
-    return QuadratureRule(
-        half * (base.nodes + 1.0), half * base.weights, {"kind": "half_line", "cutoff": cutoff}
-    )
+    return _interval_rule(m, 0.0, cutoff)
 
 
 def _lu_logdet(a: np.ndarray) -> tuple[complex, float]:
@@ -132,51 +141,46 @@ def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.n
     return np.eye(m * r, dtype=complex) + z * big
 
 
-def nystrom_det(kernel, r: int, z: complex, rule: QuadratureRule,
-                refine: bool = True, tol: float = 1e-10, cap: int = _REFINE_CAP,
-                split: bool = True) -> DetResult:
-    """det(Id + z K) on the rule's real domain by block Nystrom.
+def _refine(det_at, m: int, rays: int, refine: bool, tol: float, cap: int) -> DetResult:
+    """Refinement loop shared by the half-line and contour routes.
 
-    With refine=True the node count doubles until the change in log det
-    falls below tol or the cap is reached; est_error is the last change.
+    det_at(m) returns (det, log|det|) with m nodes per ray.  With refine=True
+    m doubles until the change in log det falls below tol or doubling would
+    pass the cap; est_error is the last change.  nodes_used is rays * m.
     """
-    dom = rule.domain
-    if dom.get("kind") == "half_line":
-        cutoff = dom["cutoff"]
-
-        def make(m):
-            rr = half_line_rule(m, cutoff)
-            return rr.nodes, rr.weights
-    else:
-        a, b = dom.get("a", -1.0), dom.get("b", 1.0)
-
-        def make(m):
-            base = gauss_legendre(m)
-            half = 0.5 * (b - a)
-            return a + half * (base.nodes + 1.0), half * base.weights
-
-    m = rule.m
-    a_mat = _assemble_block(kernel, r, z, rule.nodes, rule.weights, split=split)
-    val, logabs = _lu_logdet(a_mat)
-    est = math.inf
+    val, logabs = det_at(m)
     if not refine:
-        return DetResult(val, logabs, m, 0.0, True)
+        return DetResult(val, logabs, rays * m, 0.0, True)
     prev_log = None
     while True:
         cur_log = np.log(val) if val != 0 else complex(-math.inf)
         if prev_log is not None:
             est = abs(cur_log - prev_log)
             if est <= tol:
-                return DetResult(val, logabs, m, est, True)
+                return DetResult(val, logabs, rays * m, est, True)
         if 2 * m > cap:
             if prev_log is None:
                 raise ConvergenceFailure("refinement cap reached before any comparison")
-            return DetResult(val, logabs, m, est, est <= tol)
+            return DetResult(val, logabs, rays * m, est, False)
         prev_log = cur_log
         m *= 2
-        nodes, weights = make(m)
-        a_mat = _assemble_block(kernel, r, z, nodes, weights, split=split)
-        val, logabs = _lu_logdet(a_mat)
+        val, logabs = det_at(m)
+
+
+def nystrom_det(kernel, r: int, z: complex, rule: QuadratureRule,
+                refine: bool = True, tol: float = 1e-10, cap: int = _REFINE_CAP,
+                split: bool = True) -> DetResult:
+    """det(Id + z K) on the rule's interval [a, b] by block Nystrom.
+
+    The first pass uses the rule as given; with refine=True each further pass
+    uses a Gauss-Legendre rule with twice the nodes on [a, b] until the
+    change in log det falls below tol; est_error is the last change.
+    """
+    def det_at(m):
+        rr = rule if m == rule.m else _interval_rule(m, rule.a, rule.b)
+        return _lu_logdet(_assemble_block(kernel, r, z, rr.nodes, rr.weights, split=split))
+
+    return _refine(det_at, rule.m, 1, refine, tol, cap)
 
 
 def _contour_nodes(m_per_ray: int, radius: float, basepoint: complex = 0.5j):
@@ -186,9 +190,8 @@ def _contour_nodes(m_per_ray: int, radius: float, basepoint: complex = 0.5j):
     and out to basepoint + radius e^{i pi/6}; each straight ray carries an
     affinely mapped Gauss-Legendre rule and the direction factor of dlambda.
     """
-    base = gauss_legendre(m_per_ray)
-    t = 0.5 * radius * (base.nodes + 1.0)
-    wt = 0.5 * radius * base.weights
+    ray = _interval_rule(m_per_ray, 0.0, radius)
+    t, wt = ray.nodes, ray.weights
     d_right = np.exp(1j * math.pi / 6.0)
     d_left = np.exp(5j * math.pi / 6.0)
     # left ray traversed toward the basepoint: lambda = bp + (radius - t) d_left
@@ -208,57 +211,25 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
     """det(Id + z K) for the contour kernel on gamma_plus.
 
     One-sided complex weights (no square-root splitting); the determinant is
-    invariant under this similarity of the weighted block matrix.
+    invariant under this similarity of the weighted block matrix.  Refinement
+    doubles the nodes on each of the two rays.
     """
     r = s.r
 
-    def build(mpr):
+    def det_at(mpr):
         lam, w = _contour_nodes(mpr, radius)
-        e1 = np.empty((lam.size, r, r), dtype=complex)
-        e2 = np.empty((lam.size, r, r), dtype=complex)
-        for i, la in enumerate(lam):
-            e1[i], e2[i] = contour_symbol(la, s, C)
+        e1, e2 = contour_symbol(lam, s, C)
         denom = lam[:, None] + lam[None, :]
         kmat = np.einsum("ial,jak->ijlk", e1, e2) / denom[:, :, None, None]
         kmat = kmat * w[None, :, None, None]
         big = kmat.transpose(0, 2, 1, 3).reshape(lam.size * r, lam.size * r)
-        return np.eye(lam.size * r, dtype=complex) + z * big
+        return _lu_logdet(np.eye(lam.size * r, dtype=complex) + z * big)
 
-    m = m_per_ray
-    val, logabs = _lu_logdet(build(m))
-    if not refine:
-        return DetResult(val, logabs, 2 * m, 0.0, True)
-    est = math.inf
-    prev_log = None
-    while True:
-        cur_log = np.log(val) if val != 0 else complex(-math.inf)
-        if prev_log is not None:
-            est = abs(cur_log - prev_log)
-            if est <= tol:
-                return DetResult(val, logabs, 2 * m, est, True)
-        if 2 * m > cap:
-            return DetResult(val, logabs, 2 * m, est, est <= tol)
-        prev_log = cur_log
-        m *= 2
-        val, logabs = _lu_logdet(build(m))
+    return _refine(det_at, m_per_ray, 2, refine, tol, cap)
 
 
 def spectral_radius(kernel, r: int, rule: QuadratureRule,
                     tol: float = 1e-8, maxit: int = 10000) -> float:
     """Largest-modulus eigenvalue of the discretized operator, power iteration."""
     a = _assemble_block(kernel, r, 1.0, rule.nodes, rule.weights) - np.eye(rule.m * r)
-    rng = np.random.default_rng(2718)
-    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(maxit):
-        w = a @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = abs(np.vdot(v_new, a @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            return float(lam_new)
-        lam, v = lam_new, v_new
-    raise ConvergenceFailure("power iteration exhausted its budget")
+    return power_iteration(a, 2718, tol, maxit)

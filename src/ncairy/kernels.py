@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import ai_arrays
-from .errors import DivisionByZero, DomainError, OverflowRisk
+from .errors import ConvergenceFailure, DivisionByZero, DomainError, OverflowRisk
 
 __all__ = [
     "ShiftVector",
@@ -59,24 +59,28 @@ class ShiftVector:
         return np.diag(self.s).astype(complex)
 
 
-def _power_iteration_sigma_max(c: np.ndarray, tol: float = 1e-12, maxit: int = 10000) -> float:
-    """Largest singular value via power iteration on C^dagger C (cross-check path)."""
-    h = c.conj().T @ c
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(c.shape[0]) + 1j * rng.standard_normal(c.shape[0])
+def power_iteration(a: np.ndarray, seed: int, tol: float, maxit: int = 10000) -> float:
+    """Largest |Rayleigh quotient| of a square matrix by power iteration.
+
+    Starts from a seeded complex Gaussian vector and stops when the quotient
+    changes by at most tol * max(1, quotient); raises ConvergenceFailure when
+    maxit sweeps do not get there.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(maxit):
-        w = h @ v
+        w = a @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v_new = w / nw
-        lam_new = float(np.real(np.vdot(v_new, h @ v_new)))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return math.sqrt(max(lam_new, 0.0))
+        lam_new = abs(np.vdot(v_new, a @ v_new))
+        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
+            return float(lam_new)
         lam, v = lam_new, v_new
-    return math.sqrt(max(lam, 0.0))
+    raise ConvergenceFailure("power iteration exhausted its budget")
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,9 @@ class CouplingMatrix:
         return self.entries.shape[0]
 
     def sigma_max_crosscheck(self) -> float:
-        """Independent power-iteration estimate of sigma_max."""
-        return _power_iteration_sigma_max(self.entries)
+        """Independent power-iteration estimate of sigma_max (on C^dagger C)."""
+        c = self.entries
+        return math.sqrt(power_iteration(c.conj().T @ c, 12345, 1e-12))
 
     def negated(self) -> "CouplingMatrix":
         return CouplingMatrix(-self.entries)

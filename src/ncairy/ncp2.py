@@ -44,27 +44,6 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _BLOWUP = 1e8
 
 
-def _aibi(x, y):
-    """Ai(x) * Bi(y) without intermediate overflow (scaled values + one exp)."""
-    ai_s, _, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
-    _, _, bi_s, _, zy = airy_arrays(np.asarray(y, dtype=float))
-    return ai_s * bi_s * np.exp(zy - zx)
-
-
-def _aipbi(x, y):
-    """Ai'(x) * Bi(y), same scaling strategy."""
-    _, aip_s, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
-    _, _, bi_s, _, zy = airy_arrays(np.asarray(y, dtype=float))
-    return aip_s * bi_s * np.exp(zy - zx)
-
-
-def _aibip(x, y):
-    """Ai(x) * Bi'(y)."""
-    ai_s, _, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
-    _, _, _, bip_s, zy = airy_arrays(np.asarray(y, dtype=float))
-    return ai_s * bip_s * np.exp(zy - zx)
-
-
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
     """Barycentric weights for arbitrary interpolation nodes."""
     d = nodes[:, None] - nodes[None, :]
@@ -125,7 +104,6 @@ class PicardTail:
         With deriv=True uses d/dS of the Green factor (chain factor 2); the
         boundary term vanishes since G(S, S) = 0.
         """
-        n_s = s_pts.size
         half = 0.5 * (self.S_max - s_pts)
         t = s_pts[:, None] + half[:, None] * (self._sub_nodes[None, :] + 1.0)
         wt = half[:, None] * self._sub_weights[None, :]
@@ -133,12 +111,14 @@ class PicardTail:
         b_t = np.einsum("pm,mij->pij", p, beta_nodes).reshape(t.shape + self.C.entries.shape)
         b3 = _matcube(b_t)
         a = self._offsets()
-        x_s = 2.0 * s_pts[:, None, None, None] + a
-        x_t = 2.0 * t[:, :, None, None] + a
+        # scaled values (Ai times e^{zeta}, Bi times e^{-zeta}) and one exp per
+        # Ai-Bi product keep the Green factor free of intermediate overflow
+        ai_s, aip_s, bi_s, bip_s, z_s = airy_arrays(2.0 * s_pts[:, None, None, None] + a)
+        ai_t, _, bi_t, _, z_t = airy_arrays(2.0 * t[:, :, None, None] + a)
         if deriv:
-            g = 2.0 * (_aipbi(x_s, x_t) - _aibip(x_t, x_s))
+            g = 2.0 * (aip_s * bi_t * np.exp(z_t - z_s) - ai_t * bip_s * np.exp(z_s - z_t))
         else:
-            g = _aibi(x_s, x_t) - _aibi(x_t, x_s)
+            g = ai_s * bi_t * np.exp(z_t - z_s) - ai_t * bi_s * np.exp(z_s - z_t)
         return 4.0 * math.pi * np.einsum("pt,ptij,ptij->pij", wt, g, b3)
 
     def beta1_at(self, s_pts) -> np.ndarray:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .airy import ai_arrays
 from .errors import DomainError, OutOfRange, PoleEncountered
-from .fredholm import (DetResult, gauss_legendre, half_line_cutoff,
-                       half_line_rule, nystrom_det)
+from .fredholm import DetResult, half_line_cutoff, half_line_rule, nystrom_det
 from .kernels import (CouplingMatrix, ShiftVector, matrix_airy_kernel,
                       matrix_airy_sq_kernel)
 from .ncp2 import HMGrid, hm_solve
@@ -80,6 +79,15 @@ def _pack(nys, pain) -> GapResult:
     return GapResult(nys, pain, diff)
 
 
+def _half_line_det(kernel, s: ShiftVector, C: CouplingMatrix, z: float, m: int) -> DetResult:
+    """det(Id + z K) for K(x, y) = kernel(x, y, s, C) on [0, half_line_cutoff(s)].
+
+    Block Nystrom with refinement from m nodes.
+    """
+    rule = half_line_rule(m, half_line_cutoff(s))
+    return nystrom_det(lambda x, y: kernel(x, y, s, C), s.r, z, rule)
+
+
 def det_airy_sq(q: GapQuery, m: int = 40) -> GapResult:
     """det(Id - Ai^2) by Nystrom and/or the Painleve trace formula.
 
@@ -88,9 +96,7 @@ def det_airy_sq(q: GapQuery, m: int = 40) -> GapResult:
     nys = None
     pain = None
     if q.route in ("nystrom", "both"):
-        rule = half_line_rule(m, half_line_cutoff(q.s))
-        nys = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, q.s, q.C),
-                          q.s.r, -1.0, rule)
+        nys = _half_line_det(matrix_airy_sq_kernel, q.s, q.C, -1.0, m)
     if q.route in ("painleve", "both"):
         grid = _grid_for(q)
         pain = complex(np.exp(-4.0 * grid.int_t_beta_sq(q.s.S)))
@@ -110,9 +116,7 @@ def det_airy(q: GapQuery, sign: int, m: int = 40) -> GapResult:
     nys = None
     pain = None
     if q.route in ("nystrom", "both"):
-        rule = half_line_rule(m, half_line_cutoff(q.s))
-        nys = nystrom_det(lambda x, y: matrix_airy_kernel(x, y, q.s, q.C),
-                          q.s.r, float(sign), rule)
+        nys = _half_line_det(matrix_airy_kernel, q.s, q.C, float(sign), m)
     if q.route in ("painleve", "both"):
         ceff = q.C if sign == 1 else q.C.negated()
         qq = GapQuery(q.s, ceff, "painleve", q.tol)
@@ -189,12 +193,10 @@ def p34_scalar_residual(x: float) -> float:
 def _log_det_scalar(kind: str, s: float, c: float = 1.0, m: int = 40) -> float:
     sv = ShiftVector(np.array([s]))
     cm = CouplingMatrix(np.array([[c]]))
-    rule = half_line_rule(m, half_line_cutoff(sv))
     if kind == "sq":
-        d = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, sv, cm), 1, -1.0, rule)
+        d = _half_line_det(matrix_airy_sq_kernel, sv, cm, -1.0, m)
     else:
-        d = nystrom_det(lambda x, y: matrix_airy_kernel(x, y, sv, cm), 1,
-                        -1.0 if kind == "minus" else 1.0, rule)
+        d = _half_line_det(matrix_airy_kernel, sv, cm, -1.0 if kind == "minus" else 1.0, m)
     return float(np.log(np.real(d.value)))
 
 
@@ -261,9 +263,8 @@ def de_bruijn_check(s: ShiftVector, C: CouplingMatrix, pts, m: int = 120,
     k21 = np.real(matrix_airy_sq_kernel(x2, x1, s, C)[j2, j1])
     k22 = np.real(matrix_airy_sq_kernel(x2, x2, s, C)[j2, j2])
     det_direct = float(k11 * k22 - k12 * k21)
-    base = gauss_legendre(m)
-    z = 0.5 * cutoff * (base.nodes + 1.0)
-    wz = 0.5 * cutoff * base.weights
+    quad = half_line_rule(m, cutoff)
+    z, wz = quad.nodes, quad.weights
     r = s.r
     c = np.real(C.entries)
 
@@ -300,9 +301,7 @@ def existence_scan(C: CouplingMatrix, s_lo: float, s_hi: float, n: int = 25,
     r = C.r
 
     def det_at(s: float) -> float:
-        sv = ShiftVector(np.full(r, s))
-        rule = half_line_rule(m, half_line_cutoff(sv))
-        d = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, sv, C), r, -1.0, rule)
+        d = _half_line_det(matrix_airy_sq_kernel, ShiftVector(np.full(r, s)), C, -1.0, m)
         return float(np.real(d.value))
 
     ss = np.linspace(s_lo, s_hi, n)

@@ -124,6 +124,21 @@ def test_bad_input_exit_two(capsys):
     assert code == 2
 
 
+def test_removed_cutoff_flag_exit_two(capsys):
+    code, _, err = _run(["det", "--cutoff", "30"], capsys)
+    assert code == 2
+    assert "--cutoff" in err
+
+
+@pytest.mark.parametrize("key", ["quad_cutoff", "hm_smax"])
+def test_removed_config_keys_exit_two(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 30\n")
+    code, _, err = _run(["det", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert f"unknown config key: {key}" in err
+
+
 def test_write_table_complex_csv():
     buf = io.StringIO()
     write_table([{"S": 1.0, "b": 0.5 - 0.25j}], "csv", buf)

@@ -19,7 +19,8 @@ from ncairy import (
     zero_curvature_residual_p2,
 )
 from ncairy import ncp2
-from ncairy.ncp2 import _blown, _rk4_step
+from ncairy.airy import airy_arrays
+from ncairy.ncp2 import _bary_matrix, _blown, _matcube, _rk4_step
 
 C1 = CouplingMatrix(np.array([[1.0]]))
 C2 = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
@@ -275,3 +276,56 @@ def test_blown_flags_nonfinite_and_large():
         b = ok.copy()
         b[1, 0] = bad
         assert _blown(b), bad
+
+
+def _aibi(x, y):
+    ai_s, _, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
+    _, _, bi_s, _, zy = airy_arrays(np.asarray(y, dtype=float))
+    return ai_s * bi_s * np.exp(zy - zx)
+
+
+def _aipbi(x, y):
+    _, aip_s, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
+    _, _, bi_s, _, zy = airy_arrays(np.asarray(y, dtype=float))
+    return aip_s * bi_s * np.exp(zy - zx)
+
+
+def _aibip(x, y):
+    ai_s, _, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
+    _, _, _, bip_s, zy = airy_arrays(np.asarray(y, dtype=float))
+    return ai_s * bip_s * np.exp(zy - zx)
+
+
+def _integral_with_product_helpers(tail, s_pts, beta_nodes, deriv):
+    """PicardTail._integral as written with one Airy evaluation per product."""
+    half = 0.5 * (tail.S_max - s_pts)
+    t = s_pts[:, None] + half[:, None] * (tail._sub_nodes[None, :] + 1.0)
+    wt = half[:, None] * tail._sub_weights[None, :]
+    p = _bary_matrix(tail.nodes, tail._bw, t.ravel())
+    b_t = np.einsum("pm,mij->pij", p, beta_nodes).reshape(t.shape + tail.C.entries.shape)
+    b3 = _matcube(b_t)
+    a = tail._offsets()
+    x_s = 2.0 * s_pts[:, None, None, None] + a
+    x_t = 2.0 * t[:, :, None, None] + a
+    if deriv:
+        g = 2.0 * (_aipbi(x_s, x_t) - _aibip(x_t, x_s))
+    else:
+        g = _aibi(x_s, x_t) - _aibi(x_t, x_s)
+    return 4.0 * math.pi * np.einsum("pt,ptij,ptij->pij", wt, g, b3)
+
+
+@pytest.mark.parametrize("deriv", [False, True])
+@pytest.mark.parametrize("c,delta", [
+    (C1, [0.0]),
+    (C2, D2),
+    (CouplingMatrix(np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.1j], [0.05, -0.1j, 0.3]])),
+     [0.1, -0.2, 0.1]),
+])
+def test_picard_integral_matches_product_helpers(c, delta, deriv):
+    # one Airy pass per argument array gives the same bits as evaluating
+    # each Airy-Bi product separately
+    tail = hm_tail_picard(c, delta, 2.0)
+    s_pts = np.concatenate([tail.nodes, [2.0, 2.5, 7.0]])
+    got = tail._integral(s_pts, tail.beta, deriv)
+    ref = _integral_with_product_helpers(tail, s_pts, tail.beta, deriv)
+    assert got.tobytes() == ref.tobytes()
