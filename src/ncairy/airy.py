@@ -1,6 +1,6 @@
 """Real-argument Airy functions Ai, Ai', Bi, Bi' with exponentially scaled variants.
 
-Evaluation strategy (seams validated by tests/test_airy.py):
+Evaluation strategy (seams validated by the airy_seam_continuity check in verify):
 
 * ``x <= -9.5``        oscillatory asymptotic expansions, optimally truncated;
 * ``-9.5 < x < -4.5``  Taylor propagation of the Airy ODE y'' = x y from an

@@ -438,7 +438,8 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     """Tail Picard solve plus leftward continuation, with adaptive tail start.
 
     The tail start is raised by 0.5 (at most four times) if the Picard map
-    fails to contract.  The start is snapped to a multiple of h so query
+    fails to contract.  The start is snapped to the nearest multiple of h,
+    or the next one up where the nearest lies below 1 + max|delta|, so query
     points that are multiples of h land exactly on grid nodes.
 
     The equation is odd in beta1 and the Airy seed is linear in C, so
@@ -451,7 +452,10 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     s0 = max(s0, 1.0 + m)
-    s0 = round(s0 / h) * h
+    k = round(s0 / h)
+    if k * h < 1.0 + m:  # the nearest multiple of h fell below the tail's domain
+        k += 1
+    s0 = k * h
     rest = (delta.tobytes(), float(S_min), float(h), s0, n_tail, tol)
     key = (C.entries.tobytes(),) + rest
     if cached:

@@ -1,301 +1,83 @@
-"""Acceptance suite: the thirteen headline checks at their stated tolerances.
+"""The check registry: one test per named check in ncairy.verify.CHECKS.
 
-Each test prints one PASS/FAIL line (visible with pytest -s or on failure)
-and asserts the same condition.
+Each check runs once, on the generator ``ncairy verify --seed 0`` gives it,
+and prints the same PASS/FAIL line (visible with pytest -s or on failure).
+The thirteen acceptance criteria name the checks that hold their cases.
 """
 
-import math
+import functools
 
-import numpy as np
 import pytest
 
-from ncairy import (
-    CouplingMatrix,
-    GapQuery,
-    PoleEncountered,
-    ShiftVector,
-    ai_arrays,
-    airy_arrays,
-    alpha1,
-    de_bruijn_check,
-    det_airy,
-    det_airy_sq,
-    existence_scan,
-    half_line_cutoff,
-    half_line_rule,
-    hm_solve,
-    matrix_airy_kernel,
-    matrix_airy_sq_kernel,
-    miura_residual,
-    nystrom_det,
-    nystrom_det_contour,
-    p34_residual,
-    p34_scalar_residual,
-    p34_state,
-    scalar_f1,
-    scalar_f2,
-    scalar_w_checks,
-    total_positivity_check,
-    zero_curvature_residual_p2,
-    zero_curvature_residual_p34,
-)
+from ncairy.verify import CHECKS, run_check
 
-LAMS = (1.0, 1.0j, -2.0, 0.5 + 0.5j)
+_INDEX = {name: i for i, (name, _) in enumerate(CHECKS)}
 
 
-def _scaled(entries, sigma):
-    c = np.asarray(entries, dtype=complex)
-    return CouplingMatrix(sigma * c / np.linalg.svd(c, compute_uv=False)[0])
+@functools.cache
+def _run(name):
+    return run_check(_INDEX[name], seed=0)
 
 
-def _coupling_cases(r):
-    if r == 1:
-        return [CouplingMatrix(np.array([[0.8]])),
-                CouplingMatrix(np.array([[1.0]])),
-                CouplingMatrix(np.array([[0.9]]))]
-    return [CouplingMatrix(0.8 * np.eye(2)),
-            _scaled([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], 1.0),
-            _scaled([[0.5, 0.4], [0.1, 0.3]], 0.9)]
+def _assert_checks(*names):
+    for name in names:
+        ok, line = _run(name)
+        print(line)
+        assert ok, line
 
 
-def _shift(r, S):
-    if r == 1:
-        return ShiftVector(np.array([S]))
-    return ShiftVector(np.array([S - 0.15, S + 0.15]))
-
-
-def _report(num, name, ok, detail):
-    print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-    assert ok, f"criterion {num} {name}: {detail}"
+@pytest.mark.parametrize("name", list(_INDEX))
+def test_check(name):
+    _assert_checks(name)
 
 
 def test_criterion_01_cross_route_agreement():
-    worst = 0.0
-    for r in (1, 2):
-        for c in _coupling_cases(r):
-            for S in (0.0, 1.0):
-                q = GapQuery(_shift(r, S), c, "both", 1e-6)
-                res = det_airy_sq(q)
-                worst = max(worst, res.diff / abs(res.nystrom.value))
-                for sign in (-1, 1):
-                    res = det_airy(q, sign)
-                    worst = max(worst, res.diff / abs(res.nystrom.value))
-    _report(1, "cross-route determinants", worst <= 1e-6, f"max rel diff {worst:.3e}")
+    _assert_checks("route_agreement")
 
 
 def test_criterion_02_factorization():
-    worst = 0.0
-    for r in (1, 2):
-        for c in _coupling_cases(r):
-            for S in (0.0, 1.0):
-                q = GapQuery(_shift(r, S), c, "nystrom", 1e-6)
-                sq = det_airy_sq(q).nystrom.value
-                mi = det_airy(q, -1).nystrom.value
-                pl = det_airy(q, 1).nystrom.value
-                worst = max(worst, abs(sq - mi * pl) / abs(sq))
-    _report(2, "determinant factorization", worst <= 1e-8, f"max rel err {worst:.3e}")
+    _assert_checks("det_multiplicativity")
 
 
 def test_criterion_03_contour_half_line():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(5):
-        r = int(rng.integers(1, 3))
-        s = ShiftVector(np.round(rng.uniform(-0.5, 1.0, size=r), 3))
-        raw = rng.uniform(-0.5, 0.5, size=(r, r)) + 1j * rng.uniform(-0.5, 0.5, size=(r, r))
-        c = _scaled(raw, 0.9)
-        z = float(rng.choice([-1.0, 1.0]))
-        rule = half_line_rule(40, half_line_cutoff(s))
-        d_half = nystrom_det(lambda x, y: matrix_airy_kernel(x, y, s, c), r, z, rule)
-        d_cont = nystrom_det_contour(s, c, z)
-        worst = max(worst, abs(d_half.value - d_cont.value))
-    _report(3, "contour equals half-line", worst <= 1e-6, f"max abs diff {worst:.3e}")
-
-
-def _gridwise_ncp2_residual(grid):
-    b = grid.beta1
-    h = grid.h
-    d2 = (-b[:-4] + 16 * b[1:-3] - 30 * b[2:-2] + 16 * b[3:-1] - b[4:]) / (12 * h * h)
-    s_vals = grid.S_values[2:-2]
-    sm = np.zeros(b[2:-2].shape, dtype=complex)
-    idx = np.arange(grid.r)
-    sm[:, idx, idx] = s_vals[:, None] + np.asarray(grid.delta)[None, :]
-    bb = b[2:-2]
-    rhs = 4.0 * (sm @ bb + bb @ sm) + 8.0 * bb @ bb @ bb
-    return float(np.max(np.abs(d2 - rhs)))
+    _assert_checks("contour_half_line_equivalence")
 
 
 def test_criterion_04_ncp2_residual():
-    worst = 0.0
-    cases = [(CouplingMatrix(np.array([[1.0]])), [0.0]),
-             (_scaled([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], 1.0), [0.0, 0.3])]
-    for c, delta in cases:
-        grid = hm_solve(c, delta, S_min=-1.5)
-        worst = max(worst, _gridwise_ncp2_residual(grid))
-    res_h = []
-    for h in (1e-2, 5e-3):
-        grid = hm_solve(cases[0][0], [0.0], S_min=-1.0, h=h, cached=False)
-        res_h.append(_gridwise_ncp2_residual(grid))
-    ratio = res_h[0] / res_h[1]
-    ok = worst <= 1e-6 and ratio > 8.0
-    _report(4, "ncp2 solver residual", ok,
-            f"max residual {worst:.3e}, halving ratio {ratio:.1f}")
+    _assert_checks("ncp2_residual")
 
 
 def test_criterion_05_asymptotic_matching():
-    c = _scaled([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], 1.0)
-    delta = np.array([-0.25, 0.25])
-    grid = hm_solve(c, delta, S_min=-0.5)
-    s_val = 5.0
-    b = grid.beta1_at(s_val)
-    sj = s_val + delta
-    target = -c.entries * ai_arrays(sj[:, None] + sj[None, :])[0]
-    err = float(np.max(np.abs(b - target)))
-    m = float(np.max(np.abs(delta)))
-    bound = 10.0 * math.sqrt(s_val) * math.exp(-(4.0 / 3.0) * (2 * s_val - 2 * m) ** 1.5)
-    _report(5, "asymptotic matching", err <= bound,
-            f"err {err:.3e} within bound {bound:.3e}")
+    _assert_checks("hm_asymptotic_matching")
 
 
 def test_criterion_06_zero_curvature():
-    g1 = hm_solve(CouplingMatrix(np.array([[1.0]])), [0.0], S_min=-1.5)
-    g2 = hm_solve(_scaled([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], 1.0),
-                  [0.0, 0.3], S_min=-1.5)
-    p2 = max(zero_curvature_residual_p2(g, 0.5, LAMS) for g in (g1, g2))
-    p34 = max(zero_curvature_residual_p34(g, 0.5, LAMS) for g in (g1, g2))
-    r_h = zero_curvature_residual_p34(g1, 0.5, (1.0,), step=4e-3)
-    r_h2 = zero_curvature_residual_p34(g1, 0.5, (1.0,), step=2e-3)
-    ratio = r_h / r_h2
-    ok = p2 <= 1e-7 and p34 <= 1e-4 and ratio > 2.5
-    _report(6, "zero-curvature residuals", ok,
-            f"p2 {p2:.3e}, p34 {p34:.3e}, halving ratio {ratio:.1f}")
+    _assert_checks("zero_curvature_p2", "zero_curvature_p34")
 
 
 def test_criterion_07_p34_residuals():
-    g1 = hm_solve(CouplingMatrix(np.array([[1.0]])), [0.0], S_min=-1.5)
-    g2 = hm_solve(_scaled([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], 1.0),
-                  [0.0, 0.3], S_min=-1.5)
-    w3 = w2 = w4 = 0.0
-    for g in (g1, g2):
-        for s_val in np.linspace(0.0, 4.0, 9):
-            r3, r2, r4 = p34_residual(g, float(s_val))
-            w3, w2, w4 = max(w3, r3), max(w2, r2), max(w4, r4)
-    cancel = 0.0
-    for s_val in (0.0, 2.0):
-        a, _, _ = p34_residual(g1, s_val, include_a2=True)
-        b, _, _ = p34_residual(g1, s_val, include_a2=False)
-        cancel = max(cancel, abs(a - b))
-    ok = w3 <= 1e-5 and w2 <= 1e-6 and w4 <= 1e-4 and cancel <= 1e-12
-    _report(7, "p34 residuals", ok,
-            f"res3 {w3:.3e}, res2 {w2:.3e}, res4 {w4:.3e}, scalar a2 term {cancel:.3e}")
+    _assert_checks("p34_residuals")
 
 
 def test_criterion_08_miura():
-    worst = 0.0
-    for s0 in (0.0, 0.5):
-        miura, remiu = miura_residual(s0)
-        worst = max(worst, miura, remiu)
-    m_h, _ = miura_residual(0.0, h=2e-2)
-    m_h2, _ = miura_residual(0.0, h=1e-2)
-    ratio = m_h / m_h2
-    ok = worst <= 1e-4 and ratio > 2.5
-    _report(8, "miura identity", ok, f"max defect {worst:.3e}, halving ratio {ratio:.1f}")
-
-
-def _log_det_fd(s_vec, c, k, kind, sign, h=1e-3):
-    vals = []
-    for sgn in (-1, 1):
-        sv = np.asarray(s_vec, dtype=float).copy()
-        sv[k] += sgn * h
-        q = GapQuery(ShiftVector(sv), c, "nystrom", 1e-6)
-        d = det_airy_sq(q).nystrom.value if kind == "sq" else det_airy(q, sign).nystrom.value
-        vals.append(np.log(d))
-    return (vals[1] - vals[0]) / (2 * h)
+    _assert_checks("miura")
 
 
 def test_criterion_09_tau_derivatives():
-    worst = 0.0
-    cases = [(np.array([0.0]), CouplingMatrix(np.array([[0.9]]))),
-             (np.array([0.0, 0.3]), _scaled([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]], 1.0))]
-    for s_vec, c in cases:
-        sv = ShiftVector(s_vec)
-        grid = hm_solve(c, sv.delta, S_min=min(-1.0, sv.S - 0.1))
-        a = alpha1(grid, sv.S)
-        for k in range(sv.r):
-            fd = _log_det_fd(s_vec, c, k, "sq", 0)
-            pred = -2.0j * a[k, k]
-            worst = max(worst, abs(fd - pred) / abs(pred))
-        for sign in (-1, 1):
-            ceff = c.negated() if sign == 1 else c
-            gs = hm_solve(ceff, sv.delta, S_min=min(-1.0, sv.S - 0.1))
-            a1 = p34_state(gs, sv.S).a1
-            for k in range(sv.r):
-                fd = _log_det_fd(s_vec, c, k, "pm", sign)
-                pred = -1.0j * a1[k, k]
-                worst = max(worst, abs(fd - pred) / abs(pred))
-    _report(9, "tau-derivative identities", worst <= 1e-4, f"max rel err {worst:.3e}")
+    _assert_checks("tau_derivative_alpha1", "tau_derivative_a1")
 
 
 def test_criterion_10_existence_boundary():
-    samples, crossing = existence_scan(CouplingMatrix(np.array([[1.0]])), -4.0, 2.0, n=13)
-    sub_ok = crossing is None and all(0.0 < v <= 1.0 + 1e-12 for _, v in samples)
-    c = CouplingMatrix(np.array([[1.2]]))
-    try:
-        hm_solve(c, [0.0], S_min=-3.0)
-        pole = None
-    except PoleEncountered as exc:
-        pole = exc.pole_at
-    _, zero = existence_scan(c, -3.0, 0.0, n=25)
-    sup_ok = pole is not None and zero is not None and abs(zero - pole) <= 0.1
-    _report(10, "existence boundary", sub_ok and sup_ok,
-            f"subcritical clean, pole {pole}, zero {zero}")
+    _assert_checks("subcritical_positivity", "pole_zero_match")
 
 
 def test_criterion_11_total_positivity():
-    s = ShiftVector(np.array([0.0, 0.3]))
-    c = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
-    worst = total_positivity_check(s, c, trials=100, k_max=4, seed=0)
-    _, rel = de_bruijn_check(s, c, ((0, 0.2), (1, -0.4)))
-    ok = worst > -1e-12 and rel <= 1e-4
-    _report(11, "total positivity", ok,
-            f"min det {worst:.3e}, de Bruijn rel err {rel:.3e}")
+    _assert_checks("total_positivity", "de_bruijn")
 
 
 def test_criterion_12_scalar_chain():
-    c = CouplingMatrix(np.array([[1.0]]))
-    worst_f2 = 0.0
-    for x in (-2.0, 0.0, 2.0):
-        s = ShiftVector(np.array([0.5 * x]))
-        rule = half_line_rule(40, half_line_cutoff(s))
-        d = nystrom_det(lambda u, v: matrix_airy_sq_kernel(u, v, s, c), 1, -1.0, rule)
-        worst_f2 = max(worst_f2, abs(scalar_f2(x) - float(np.real(d.value))))
-    grid = hm_solve(c, [0.0], S_min=-4.2)
-    worst_tw3 = 0.0
-    worst_alt = 0.0
-    for x in (-2.0, 0.0, 1.0):
-        int_u = -2.0 * float(np.real(grid.int_tr_beta(0.5 * x)))
-        lhs = scalar_f1(x) ** 2 * math.exp(int_u)
-        worst_tw3 = max(worst_tw3, abs(lhs - scalar_f2(x)) / scalar_f2(x))
-        _, f1_alt = scalar_w_checks(x)
-        worst_alt = max(worst_alt, abs(f1_alt - scalar_f1(x)) / scalar_f1(x))
-    worst_w = max(p34_scalar_residual(x) for x in (-2.0, 0.0, 2.0))
-    ok = worst_f2 <= 1e-6 and worst_tw3 <= 1e-6 and worst_alt <= 1e-5 and worst_w <= 1e-4
-    _report(12, "scalar distribution chain", ok,
-            f"F2 {worst_f2:.3e}, product identity {worst_tw3:.3e}, "
-            f"alt F1 {worst_alt:.3e}, w residual {worst_w:.3e}")
+    _assert_checks("scalar_chain")
 
 
 def test_criterion_13_special_functions():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-20.0, 30.0, size=1000)
-    ai, aip, bi, bip = airy_arrays(x)[:4]
-    w_err = float(np.max(np.abs((ai * bip - aip * bi) * math.pi - 1.0)))
-    eps = 1e-12
-    seam_err = 0.0
-    for seam in (-9.5, -4.5, 0.0, 4.5, 9.5):
-        lo = np.array(airy_arrays(np.asarray([seam - eps]))[:4]).ravel()
-        hi = np.array(airy_arrays(np.asarray([seam + eps]))[:4]).ravel()
-        seam_err = max(seam_err, float(np.max(np.abs(hi - lo) / np.maximum(np.abs(lo), 1.0))))
-    ok = w_err <= 1e-10 and seam_err <= 1e-11
-    _report(13, "special functions", ok,
-            f"wronskian {w_err:.3e}, seam continuity {seam_err:.3e}")
+    _assert_checks("airy_wronskian", "airy_seam_continuity")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ncairy import cli, ncp2, verify
 from ncairy.cli import RunConfig, load_config, run_command, write_table
 
 
@@ -154,6 +155,57 @@ def test_write_table_complex_json():
     rec = json.loads(buf.getvalue())[0]
     assert rec["b"] == {"re": 0.5, "im": -0.25}
     assert rec["n"] == 3
+
+
+def test_write_table_unsigned_zero():
+    rec = {"x": -0.0, "c": complex(-0.0, -0.0), "y": np.float64(-0.0)}
+    buf = io.StringIO()
+    write_table([rec], "csv", buf)
+    assert buf.getvalue().split("\n")[1] == ",".join(["0.000000000000e+00"] * 4)
+    buf = io.StringIO()
+    write_table([rec], "json", buf)
+    assert "-0" not in buf.getvalue()
+    assert json.loads(buf.getvalue())[0] == {"x": 0.0, "c": {"re": 0.0, "im": 0.0}, "y": 0.0}
+
+
+def test_hm_solve_output_independent_of_solve_order(monkeypatch, capsys):
+    # a +C grid served as the negation of a cached -C grid flips the sign of
+    # exact zeros (here the off-diagonal entries of C = diag(0.6, 0.5))
+    monkeypatch.setattr(ncp2, "_GRID_CACHE", {})
+    args = ["hm-solve", "--r", "2", "--shifts", "0,0.3", "--coupling", "0.6,0,0,0.5",
+            "--from", "1", "--to", "2", "--step", "0.25"]
+    fresh = _run(args, capsys)[1]
+    ncp2._GRID_CACHE.clear()
+    cfg = RunConfig(r=2, shifts=[0.0, 0.3], coupling_re=[0.6, 0.0, 0.0, 0.5])
+    ncp2.hm_solve(cfg.coupling().negated(), cfg.shift_vector().delta, S_min=1.0)
+    mirrored = _run(args, capsys)[1]
+    assert len(ncp2._GRID_CACHE) == 2   # the +C grid came from the mirror
+    assert fresh == mirrored
+
+
+def test_det_contour_honours_nodes(monkeypatch, capsys):
+    seen = []
+    real = cli.nystrom_det_contour
+
+    def spy(*a, **k):
+        seen.append(k["m_per_ray"])
+        return real(*a, **k)
+
+    monkeypatch.setattr(cli, "nystrom_det_contour", spy)
+    code, _, _ = _run(["det", "--kind", "contour", "--nodes", "10"], capsys)
+    assert code == 0 and seen == [10]
+
+
+def test_verify_reports_failing_and_raising_checks(monkeypatch, capsys):
+    def boom(rng):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(verify, "CHECKS", [("fails", lambda rng: (False, "off by 1")),
+                                           ("raises", boom)])
+    code, out, _ = _run(["verify"], capsys)
+    assert code == 1
+    assert out.splitlines() == ["FAIL fails (off by 1)",
+                                "FAIL raises (raised ValueError: broken check)"]
 
 
 def test_run_config_defaults():

@@ -104,6 +104,17 @@ def test_picard_ode_seam():
     assert float(np.max(np.abs(b - ref))) <= 1e-9
 
 
+@pytest.mark.parametrize("m,s_tail", [(0.0, 2.0), (1.0004, 2.001), (1.0006, 2.001),
+                                       (1.2345, 2.235)])
+def test_tail_start_snaps_up_past_one(m, s_tail):
+    # the nearest multiple of h below 1 + max|delta| would put the Picard
+    # tail outside its domain; inputs that solved before keep their start
+    c = CouplingMatrix(np.array([[0.5, 0.1], [0.1, 0.4]]))
+    grid = hm_solve(c, [-m, m], S_min=2.5, cached=False)
+    assert grid.S_tail >= 1.0 + m
+    assert grid.S_tail == pytest.approx(s_tail, abs=1e-12)
+
+
 def test_zero_coupling_is_zero():
     grid = hm_solve(CouplingMatrix(np.array([[0.0]])), [0.0], S_min=-1.0)
     assert float(np.max(np.abs(grid.beta1))) == 0.0
