@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,11 @@ def _bary_matrix(nodes: np.ndarray, bw: np.ndarray, pts: np.ndarray) -> np.ndarr
 def _matcube(b: np.ndarray) -> np.ndarray:
     """b @ b @ b along the last two axes."""
     return np.einsum("...ij,...jk,...kl->...il", b, b, b)
+
+
+def _pii_rhs(sv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """4{s, b} + 8 b^3, s = diag(sv), elementwise in s and batched over leading axes."""
+    return 4.0 * (sv[..., :, None] * b + b * sv[..., None, :]) + 8.0 * b @ b @ b
 
 
 @dataclass
@@ -130,24 +136,20 @@ class PicardTail:
         return self._du(s_pts) + self._integral(s_pts, self.beta, deriv=True)
 
 
-def hm_tail_picard(C: CouplingMatrix, delta, S0: float, S_max: float | None = None,
-                   n_tail: int = 64, tol: float = 1e-12,
-                   max_sweeps: int = 200) -> PicardTail:
-    """Fixed-point solve of the tail integral equation on [S0, S_max].
+def hm_tail_picard(C: CouplingMatrix, delta, S0: float, tol: float = 1e-12) -> PicardTail:
+    """Fixed-point solve of the tail integral equation on [S0, S0 + 8].
 
-    Starts from the pure Airy seed and iterates until the sup-norm change
-    drops below tol.  Raises NoContraction if the change grows for three
-    consecutive sweeps (S0 too far left).
+    Starts from the pure Airy seed on 64 Gauss-Legendre nodes and iterates
+    until the sup-norm change drops below tol, for at most 200 sweeps.
+    Raises NoContraction if the change grows for three consecutive sweeps
+    (S0 too far left).
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    if n_tail < 64:
-        raise DomainError("n_tail must be at least 64")
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     if S0 < 1.0 + m:
         raise DomainError("tail start S0 must satisfy S0 >= 1 + max|delta|")
-    if S_max is None:
-        S_max = S0 + 8.0
-    base = gauss_legendre(n_tail)
+    S_max = S0 + 8.0
+    base = gauss_legendre(64)
     nodes = S0 + 0.5 * (S_max - S0) * (base.nodes + 1.0)
     tail = PicardTail(C, delta, S0, S_max, nodes, None, 0, math.inf)
     tail._bw = _bary_weights(nodes)
@@ -156,7 +158,7 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, S_max: float | None = No
     beta = tail._u(nodes)
     prev_change = math.inf
     grow_streak = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, 201):
         new = tail._u(nodes) + tail._integral(nodes, beta, deriv=False)
         change = float(np.max(np.abs(new - beta)))
         beta = new
@@ -175,9 +177,20 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, S_max: float | None = No
     raise ConvergenceFailure("Picard iteration exhausted its sweep budget")
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a; a itself stays as writable as it was."""
+    v = np.asarray(a).view()
+    v.flags.writeable = False
+    return v
+
+
+@dataclass(frozen=True, eq=False)
 class HMGrid:
-    """Uniform-grid samples of the Hastings-McLeod solution and derivative."""
+    """Uniform-grid samples of the Hastings-McLeod solution and derivative.
+
+    Immutable: the arrays are read-only, and each node array derived from
+    beta1 (integrals, Painleve XXXIV a1 and a2) is computed on first use.
+    """
 
     C: CouplingMatrix
     delta: np.ndarray
@@ -187,7 +200,12 @@ class HMGrid:
     S_tail: float
     h: float
     pole_at: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # a copy of delta, which is often the caller's; views of the rest
+        object.__setattr__(self, "delta", _read_only(np.array(self.delta, dtype=float)))
+        for name in ("S_values", "beta1", "dbeta1"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def r(self) -> int:
@@ -229,52 +247,57 @@ class HMGrid:
         return self._local_cubic(self.dbeta1, S)
 
     def d2beta1_at(self, S: float) -> np.ndarray:
-        b = self.beta1_at(S)
-        sm = self.s_matrix(S)
-        return 4.0 * (sm @ b + b @ sm) + 8.0 * b @ b @ b
+        return _pii_rhs(S + self.delta, self.beta1_at(S))
 
-    def _cumulative(self, key: str, values: np.ndarray, tail_const: np.ndarray) -> np.ndarray:
-        if key not in self._cache:
-            self._cache[key] = _reverse_cumulative(values, self.h, tail_const)
-        return self._cache[key]
-
-    def _beta_sq_tail_const(self) -> np.ndarray:
-        """int_{S_max}^infty beta1^2 dt via the Airy-product closed form."""
+    @cached_property
+    def _beta_sq_cum(self) -> np.ndarray:
+        """int_{S_i}^infty beta1^2 dt at every node; past S_max, the Airy closed form."""
         s_max = self.S_values[-1]
         c = self.C.entries
         d = self.delta
         r = self.r
-        out = np.zeros((r, r), dtype=complex)
+        tail = np.zeros((r, r), dtype=complex)
         for mid in range(r):
             a = 2.0 * s_max + d[:, None] + d[mid]
             b = 2.0 * s_max + d[mid] + d[None, :]
             k = scalar_airy_kernel(a + 0.0 * b, b + 0.0 * a)
-            out += c[:, mid:mid + 1] * c[mid:mid + 1, :] * 0.5 * np.asarray(k)
-        return out
+            tail += c[:, mid:mid + 1] * c[mid:mid + 1, :] * 0.5 * np.asarray(k)
+        b2 = np.einsum("nij,njk->nik", self.beta1, self.beta1)
+        return _read_only(_reverse_cumulative(b2, self.h, tail))
+
+    @cached_property
+    def _trace_cums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """int t Tr beta1^2, int Tr beta1^2 and int Tr beta1 from every node to S_max."""
+        b2tr = np.einsum("nij,nji->n", self.beta1, self.beta1)
+        btr = np.einsum("nii->n", self.beta1)
+        return tuple(_read_only(_reverse_cumulative(f, self.h, np.zeros(())))
+                     for f in (self.S_values * b2tr, b2tr, btr))
+
+    @cached_property
+    def p34_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a1, a2) at every node: a1 = alpha1 - i beta1, a2 = -int_S^{S_max} a1' a1 dt."""
+        b = self.beta1
+        b_sq = np.einsum("nij,njk->nik", b, b)
+        a1 = 2.0j * self._beta_sq_cum - 1.0j * b
+        a1p = -2.0j * b_sq - 1.0j * self.dbeta1
+        prod = np.einsum("nij,njk->nik", a1p, a1)
+        a2 = -_reverse_cumulative(prod, self.h, np.zeros(b.shape[1:]))
+        return _read_only(a1), _read_only(a2)
 
     def int_beta_sq(self, S: float) -> np.ndarray:
         """int_S^infty beta1(t)^2 dt."""
-        b2 = np.einsum("nij,njk->nik", self.beta1, self.beta1)
-        cum = self._cumulative("beta_sq", b2, self._beta_sq_tail_const())
-        return self._cumulative_at(cum, S)
+        return self._local_cubic(self._beta_sq_cum, S)
 
     def int_t_beta_sq(self, S: float) -> complex:
         """int_S^infty (t - S) Tr beta1(t)^2 dt."""
-        b2tr = np.einsum("nij,nji->n", self.beta1, self.beta1)
-        cum_t = self._cumulative("t_tr_beta_sq", self.S_values * b2tr, np.zeros(()))
-        cum_0 = self._cumulative("tr_beta_sq", b2tr, np.zeros(()))
-        a = self._cumulative_at(cum_t, S)
-        b = self._cumulative_at(cum_0, S)
+        cum_t, cum_0, _ = self._trace_cums
+        a = self._local_cubic(cum_t, S)
+        b = self._local_cubic(cum_0, S)
         return complex(a - S * b)
 
     def int_tr_beta(self, S: float) -> complex:
         """int_S^infty Tr beta1(t) dt."""
-        btr = np.einsum("nii->n", self.beta1)
-        cum = self._cumulative("tr_beta", btr, np.zeros(()))
-        return complex(self._cumulative_at(cum, S))
-
-    def _cumulative_at(self, cum: np.ndarray, S: float):
-        return self._local_cubic(cum, S)
+        return complex(self._local_cubic(self._trace_cums[2], S))
 
 
 def _reverse_cumulative(f: np.ndarray, h: float, tail_const) -> np.ndarray:
@@ -304,9 +327,7 @@ def _reverse_cumulative(f: np.ndarray, h: float, tail_const) -> np.ndarray:
 
 
 def _rk4_rhs(S: float, b: np.ndarray, db: np.ndarray, delta: np.ndarray):
-    # {s, b} with s diagonal, elementwise: no diag matrix and no matmuls
-    sv = S + delta
-    return db, 4.0 * (sv[:, None] * b + b * sv[None, :]) + 8.0 * b @ b @ b
+    return db, _pii_rhs(S + delta, b)
 
 
 def _rk4_step(S: float, b: np.ndarray, db: np.ndarray, step: float, delta: np.ndarray):
@@ -319,8 +340,7 @@ def _rk4_step(S: float, b: np.ndarray, db: np.ndarray, step: float, delta: np.nd
     return bn, dbn
 
 
-def _fill_uniform_tail(tail: PicardTail, s_up: np.ndarray, h: float,
-                       tol: float = 1e-13, max_sweeps: int = 20):
+def _fill_uniform_tail(tail: PicardTail, s_up: np.ndarray, h: float):
     """Resample the converged tail on a uniform grid.
 
     Uses the separable form of the Green factor: the integral equation
@@ -342,14 +362,14 @@ def _fill_uniform_tail(tail: PicardTail, s_up: np.ndarray, h: float,
     b = np.einsum("pm,mij->pij", p, tail.beta)
     four_pi = 4.0 * math.pi
     prev = None
-    for _ in range(max_sweeps):
+    for _ in range(20):
         b3 = _matcube(b)
         f_bi = _reverse_cumulative(bi * b3, h, np.zeros(a.shape))
         f_ai = _reverse_cumulative(ai * b3, h, np.zeros(a.shape))
         new = u + four_pi * (ai * f_bi - bi * f_ai)
         change = float(np.max(np.abs(new - b)))
         b = new
-        if prev is not None and change <= tol:
+        if prev is not None and change <= 1e-13:
             break
         prev = change
     b3 = _matcube(b)
@@ -364,35 +384,24 @@ def _blown(b: np.ndarray) -> bool:
     return not (np.abs(b).max() <= _BLOWUP)
 
 
-def hm_continue(C: CouplingMatrix, delta, start, S_min: float, h: float = 1e-3) -> HMGrid:
+def hm_continue(C: CouplingMatrix, delta, tail: PicardTail, S_min: float,
+                h: float = 1e-3) -> HMGrid:
     """Continue the tail solution leftward by fixed-step RK4.
 
-    start is either a PicardTail (its samples populate the grid above S0) or
-    a bare (S0, beta1, dbeta1) triple.  On blow-up the pole is bracketed to
-    h/16 and PoleEncountered is raised with the valid grid attached.
+    The tail's samples populate the grid above its start S0.  On blow-up
+    the pole is bracketed to h/16 and PoleEncountered is raised with the
+    valid grid attached.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     if h > 1e-2:
         raise DomainError("continuation step must satisfy h <= 1e-2")
-    if isinstance(start, PicardTail):
-        tail = start
-        s0 = tail.S0
-        n_up = int(round((tail.S_max - s0) / h))
-        s_up = s0 + h * np.arange(n_up + 1)
-        b_up, db_up = _fill_uniform_tail(tail, s_up, h)
-        b0, db0 = b_up[0], db_up[0]
-    else:
-        s0, b0, db0 = start
-        b0 = np.asarray(b0, dtype=complex)
-        db0 = np.asarray(db0, dtype=complex)
-        s_up = np.array([s0])
-        b_up = b0[None]
-        db_up = db0[None]
-        tail = None
+    s0 = tail.S0
+    n_up = int(round((tail.S_max - s0) / h))
+    s_up = s0 + h * np.arange(n_up + 1)
+    b_up, db_up = _fill_uniform_tail(tail, s_up, h)
+    b0, db0 = b_up[0], db_up[0]
     n_down = int(round((s0 - S_min) / h))
-    s_list = [s0]
-    b_list = [b0]
-    db_list = [db0]
+    s_list, b_list, db_list = [], [], []
     b, db = b0, db0
     pole_at = None
     for i in range(n_down):
@@ -417,10 +426,10 @@ def hm_continue(C: CouplingMatrix, delta, start, S_min: float, h: float = 1e-3) 
         s_list.append(s_cur - h)
         b_list.append(b)
         db_list.append(db)
-    s_down = np.array(s_list[1:][::-1])
+    s_down = np.array(s_list[::-1])
     s_all = np.concatenate([s_down, s_up])
-    b_all = np.concatenate([np.array(b_list[1:][::-1]).reshape(-1, *b0.shape), b_up])
-    db_all = np.concatenate([np.array(db_list[1:][::-1]).reshape(-1, *b0.shape), db_up])
+    b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *b0.shape), b_up])
+    db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *b0.shape), db_up])
     grid = HMGrid(C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
     if pole_at is not None:
         err = PoleEncountered(pole_at)
@@ -430,11 +439,18 @@ def hm_continue(C: CouplingMatrix, delta, start, S_min: float, h: float = 1e-3) 
 
 
 _GRID_CACHE: dict = {}
+_GRID_CACHE_SIZE = 32  # solved grids kept by hm_solve, least recently used evicted
+
+
+def _cache_put(key, grid: HMGrid) -> None:
+    """Insert grid under key, evicting the least recently used past the bound."""
+    _GRID_CACHE[key] = grid
+    while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
+        del _GRID_CACHE[next(iter(_GRID_CACHE))]
 
 
 def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
-             s0: float = 2.0, n_tail: int = 64, tol: float = 1e-12,
-             cached: bool = True) -> HMGrid:
+             s0: float = 2.0, tol: float = 1e-12, cached: bool = True) -> HMGrid:
     """Tail Picard solve plus leftward continuation, with adaptive tail start.
 
     The tail start is raised by 0.5 (at most four times) if the Picard map
@@ -442,12 +458,13 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     or the next one up where the nearest lies below 1 + max|delta|, so query
     points that are multiples of h land exactly on grid nodes.
 
-    The equation is odd in beta1 and the Airy seed is linear in C, so
-    beta1(-C) = -beta1(C), and every step of the solve preserves this
-    exactly, since rounding is symmetric in sign (only the sign of an exact
-    zero can differ).  A -C grid is therefore served as the exact negation
-    of a cached +C grid, with no Picard or RK4 work.  cached=False neither
-    reads nor writes the cache.
+    The cache keeps the 32 most recently used grids, keyed on the full
+    solver configuration.  The equation is odd in beta1 and the Airy seed
+    is linear in C, so beta1(-C) = -beta1(C), and every step of the solve
+    preserves this exactly, since rounding is symmetric in sign (only the
+    sign of an exact zero can differ).  A -C grid is therefore served as the
+    exact negation of a cached +C grid, with no Picard or RK4 work.
+    cached=False neither reads nor writes the cache.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
@@ -456,24 +473,25 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     if k * h < 1.0 + m:  # the nearest multiple of h fell below the tail's domain
         k += 1
     s0 = k * h
-    rest = (delta.tobytes(), float(S_min), float(h), s0, n_tail, tol)
-    key = (C.entries.tobytes(),) + rest
+    # adding 0.0 turns -0.0 into +0.0, so the sign of a zero entry splits no key
+    rest = ((delta + 0.0).tobytes(), float(S_min), float(h), s0, tol)
+    key = ((C.entries + 0.0).tobytes(),) + rest
     if cached:
-        if key in _GRID_CACHE:
-            return _GRID_CACHE[key]
-        mirror = _GRID_CACHE.get(((-C.entries).tobytes(),) + rest)
-        if mirror is not None:
+        grid = _GRID_CACHE.pop(key, None)
+        mirror = _GRID_CACHE.get(((-C.entries + 0.0).tobytes(),) + rest)
+        if grid is None and mirror is not None:
             grid = HMGrid(C, delta, mirror.S_values, -mirror.beta1, -mirror.dbeta1,
                           mirror.S_tail, mirror.h, mirror.pole_at)
-            _GRID_CACHE[key] = grid
+        if grid is not None:
+            _cache_put(key, grid)   # (re)inserted as the most recently used
             return grid
     last_exc = None
     for attempt in range(5):
         try:
-            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt, n_tail=n_tail, tol=tol)
+            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt, tol=tol)
             grid = hm_continue(C, delta, tail, S_min, h)
             if cached:
-                _GRID_CACHE[key] = grid
+                _cache_put(key, grid)
             return grid
         except NoContraction as exc:
             last_exc = exc
@@ -508,9 +526,7 @@ def ncp2_residual(grid: HMGrid, S: float) -> float:
     f = grid.beta1
     h = grid.h
     d2 = (-f[i - 2] + 16.0 * f[i - 1] - 30.0 * f[i] + 16.0 * f[i + 1] - f[i + 2]) / (12.0 * h * h)
-    b = f[i]
-    sm = grid.s_matrix(grid.S_values[i])
-    rhs = 4.0 * (sm @ b + b @ sm) + 8.0 * b @ b @ b
+    rhs = _pii_rhs(grid.S_values[i] + grid.delta, f[i])
     return float(np.max(np.abs(d2 - rhs)))
 
 

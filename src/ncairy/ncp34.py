@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .ncp2 import HMGrid, _reverse_cumulative
+from .ncp2 import HMGrid
 
 __all__ = [
     "P34State",
@@ -41,28 +41,9 @@ class P34State:
     b4: np.ndarray
 
 
-def _p34_node_arrays(grid: HMGrid) -> dict:
-    """Per-grid-node a1, a1', a2 (cached on the grid)."""
-    if "p34_nodes" in grid._cache:
-        return grid._cache["p34_nodes"]
-    b = grid.beta1
-    db = grid.dbeta1
-    b_sq = np.einsum("nij,njk->nik", b, b)
-    i2 = grid._cumulative("beta_sq", b_sq, grid._beta_sq_tail_const())
-    a1 = 2.0j * i2 - 1.0j * b
-    a1p = -2.0j * b_sq - 1.0j * db
-    prod = np.einsum("nij,njk->nik", a1p, a1)
-    a2 = -_reverse_cumulative(prod, grid.h, np.zeros(b.shape[1:]))
-    out = {"a1": a1, "a1p": a1p, "a2": a2}
-    grid._cache["p34_nodes"] = out
-    return out
-
-
 def p34_state(grid: HMGrid, S: float) -> P34State:
     """Assemble the full state at S; derivatives use the analytic chain."""
-    nodes = _p34_node_arrays(grid)
-    a1 = grid._local_cubic(nodes["a1"], S)
-    a2 = grid._local_cubic(nodes["a2"], S)
+    a1, a2 = (grid._local_cubic(nodes, S) for nodes in grid.p34_nodes)
     b = grid.beta1_at(S)
     db = grid.dbeta1_at(S)
     d2b = grid.d2beta1_at(S)

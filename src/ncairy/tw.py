@@ -67,9 +67,8 @@ class GapResult:
         return self.painleve
 
 
-def _grid_for(q: GapQuery, extra_margin: float = 0.1) -> HMGrid:
-    s_min = min(-1.5, q.s.S - extra_margin)
-    return hm_solve(q.C, q.s.delta, S_min=s_min)
+def _grid_for(C: CouplingMatrix, s: ShiftVector) -> HMGrid:
+    return hm_solve(C, s.delta, S_min=min(-1.5, s.S - 0.1))
 
 
 def _pack(nys, pain) -> GapResult:
@@ -98,7 +97,7 @@ def det_airy_sq(q: GapQuery, m: int = 40) -> GapResult:
     if q.route in ("nystrom", "both"):
         nys = _half_line_det(matrix_airy_sq_kernel, q.s, q.C, -1.0, m)
     if q.route in ("painleve", "both"):
-        grid = _grid_for(q)
+        grid = _grid_for(q.C, q.s)
         pain = complex(np.exp(-4.0 * grid.int_t_beta_sq(q.s.S)))
     return _pack(nys, pain)
 
@@ -118,9 +117,7 @@ def det_airy(q: GapQuery, sign: int, m: int = 40) -> GapResult:
     if q.route in ("nystrom", "both"):
         nys = _half_line_det(matrix_airy_kernel, q.s, q.C, float(sign), m)
     if q.route in ("painleve", "both"):
-        ceff = q.C if sign == 1 else q.C.negated()
-        qq = GapQuery(q.s, ceff, "painleve", q.tol)
-        grid = _grid_for(qq)
+        grid = _grid_for(q.C if sign == 1 else q.C.negated(), q.s)
         s0 = q.s.S
         log_det = -grid.int_tr_beta(s0) - 2.0 * grid.int_t_beta_sq(s0)
         pain = complex(np.exp(log_det))

@@ -31,6 +31,7 @@ from .kernels import (
     scalar_airy_kernel,
 )
 from .ncp2 import (
+    _pii_rhs,
     _rk4_step,
     alpha1,
     hm_solve,
@@ -321,17 +322,16 @@ def check_picard_ode_seam(rng) -> tuple[bool, str]:
     return err <= 1e-12, f"seam mismatch {err:.3e}"
 
 
-def _grid_residual(grid) -> float:
-    """Sup over every interior node of |D^2 beta1 - 4{s, beta1} - 8 beta1^3|.
+def _grid_residual(grid, s_max: float = math.inf) -> float:
+    """Sup of |D^2 beta1 - 4{s, beta1} - 8 beta1^3| over interior nodes S <= s_max.
 
     The five-point stencil of ncp2_residual, applied to the whole grid at once.
     """
     b, h = grid.beta1, grid.h
     d2 = (-b[:-4] + 16 * b[1:-3] - 30 * b[2:-2] + 16 * b[3:-1] - b[4:]) / (12 * h * h)
-    bb = b[2:-2]
-    sv = grid.S_values[2:-2, None] + grid.delta
-    rhs = 4.0 * (sv[:, :, None] * bb + bb * sv[:, None, :]) + 8.0 * bb @ bb @ bb
-    return float(np.max(np.abs(d2 - rhs)))
+    s = grid.S_values[2:-2]
+    res = np.abs(d2 - _pii_rhs(s[:, None] + grid.delta, b[2:-2]))
+    return float(np.max(res[s <= s_max]))
 
 
 def check_ncp2_residual(rng) -> tuple[bool, str]:
@@ -339,16 +339,19 @@ def check_ncp2_residual(rng) -> tuple[bool, str]:
     worst = max(max(_grid_residual(g), *(ncp2_residual(g, float(s)) for s in pts))
                 for g in _grids())
     # O(h^4): halving h divides the residual by about 16
-    at_pts, on_grid = [], []
+    at_pts, on_grid, below_seam = [], [], []
     for h in (1e-2, 5e-3):
         grid = hm_solve(_C1, [0.0], S_min=-1.0, h=h, cached=False)
         at_pts.append(max(ncp2_residual(grid, s) for s in (-0.5, 0.0, 1.0)))
         on_grid.append(_grid_residual(grid))
+        # the grid-wide maximum sits at the tail start, where it falls only 8x
+        below_seam.append(_grid_residual(grid, grid.S_tail - 0.03))
     ratio_pts = at_pts[0] / at_pts[1]
     ratio_grid = on_grid[0] / on_grid[1]
-    ok = worst <= 1e-6 and ratio_pts > 8.0 and ratio_grid > 8.0
+    ratio_below = below_seam[0] / below_seam[1]
+    ok = worst <= 1e-6 and ratio_pts > 8.0 and ratio_grid > 8.0 and ratio_below > 12.0
     return ok, (f"max residual {worst:.3e}, halving ratio {ratio_pts:.1f} "
-                f"(grid-wide {ratio_grid:.3f})")
+                f"(grid-wide {ratio_grid:.3f}, below the tail start {ratio_below:.2f})")
 
 
 def check_zero_curvature_p2(rng) -> tuple[bool, str]:

@@ -183,6 +183,25 @@ def test_hm_solve_output_independent_of_solve_order(monkeypatch, capsys):
     assert fresh == mirrored
 
 
+def test_hm_solve_opposite_signs_share_one_solve(monkeypatch, capsys):
+    # a coupling typed with either sign has +0.0 imaginary parts, while the
+    # negation of the other sign carries -0.0: the mirror must still be found
+    monkeypatch.setattr(ncp2, "_GRID_CACHE", {})
+    calls = []
+    picard = ncp2.hm_tail_picard
+
+    def counting(*a, **k):
+        calls.append(a)
+        return picard(*a, **k)
+
+    monkeypatch.setattr(ncp2, "hm_tail_picard", counting)
+    args = ["hm-solve", "--r", "2", "--shifts", "0,0.3", "--from", "1", "--to", "2",
+            "--step", "0.25"]
+    assert _run(args + ["--coupling", "0.6,0.2,0.2,0.5"], capsys)[0] == 0
+    assert _run(args + ["--coupling=-0.6,-0.2,-0.2,-0.5"], capsys)[0] == 0
+    assert len(calls) == 1
+
+
 def test_det_contour_honours_nodes(monkeypatch, capsys):
     seen = []
     real = cli.nystrom_det_contour

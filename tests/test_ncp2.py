@@ -1,5 +1,6 @@
 """Matrix Hastings-McLeod solver: Picard tail, RK4 continuation, Lax pair."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from ncairy import (
     CouplingMatrix,
+    HMGrid,
     PoleEncountered,
     ai_arrays,
     airy_eval,
@@ -16,6 +18,7 @@ from ncairy import (
     hm_tail_picard,
     lax_matrices,
     ncp2_residual,
+    p34_state,
     zero_curvature_residual_p2,
 )
 from ncairy import ncp2
@@ -231,6 +234,64 @@ def test_supercritical_pair_poles_agree(fresh_cache):
     assert errs[0].pole_at == errs[1].pole_at
     assert np.array_equal(errs[0].grid.beta1, -errs[1].grid.beta1)
     assert fresh_cache == {}   # pole outcomes are not cached
+
+
+def test_grid_cache_evicts_least_recently_used(fresh_cache, solve_counter, monkeypatch):
+    monkeypatch.setattr(ncp2, "_GRID_CACHE_SIZE", 2)
+    # S_min above the tail start: each solve is the Picard tail alone
+    c_a, c_b, c_c = (CouplingMatrix(np.array([[c]])) for c in (0.3, 0.4, 0.5))
+    g_a = hm_solve(c_a, [0.0], S_min=2.5)
+    g_b = hm_solve(c_b, [0.0], S_min=2.5)
+    assert hm_solve(c_a, [0.0], S_min=2.5) is g_a   # the hit makes b the oldest
+    hm_solve(c_c, [0.0], S_min=2.5)
+    assert len(fresh_cache) == 2 and len(solve_counter) == 3
+    assert hm_solve(c_a, [0.0], S_min=2.5) is g_a
+    assert len(solve_counter) == 3
+    assert hm_solve(c_b, [0.0], S_min=2.5) is not g_b
+    assert len(solve_counter) == 4 and len(fresh_cache) == 2
+
+
+def test_grid_owns_read_only_arrays(grid2):
+    delta = np.array([0.0, 0.3])
+    arrays = [np.linspace(0.0, 0.3, 4), np.zeros((4, 2, 2), complex),
+              np.zeros((4, 2, 2), complex)]
+    grid = HMGrid(C2, delta, *arrays, S_tail=0.3, h=0.1)
+    for name in ("S_values", "beta1", "dbeta1", "delta"):
+        with pytest.raises(ValueError):
+            getattr(grid, name)[0] = 1.0
+    # the caller's arrays stay writable, and the grid keeps its own delta
+    assert delta.flags.writeable and all(a.flags.writeable for a in arrays)
+    delta[1] = 9.0
+    assert grid.delta[1] == 0.3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.h = 0.5
+    # a solved grid hands out views of its nodes and integrals read-only
+    for value in (grid2.beta1, grid2.beta1_at(0.0), grid2.int_beta_sq(0.0)):
+        with pytest.raises(ValueError):
+            value[0, 0] = 1.0
+
+
+def test_derived_integrals_computed_once(grid2, monkeypatch):
+    # a new grid over the solved arrays starts with nothing computed
+    grid = HMGrid(grid2.C, grid2.delta, grid2.S_values, grid2.beta1, grid2.dbeta1,
+                  grid2.S_tail, grid2.h)
+    calls = []
+    cumulative = ncp2._reverse_cumulative
+
+    def counting(*a):
+        calls.append(a)
+        return cumulative(*a)
+
+    monkeypatch.setattr(ncp2, "_reverse_cumulative", counting)
+    for _ in range(2):
+        for s_val in (-0.5, 0.25, 1.0):
+            grid.int_beta_sq(s_val)
+            grid.int_t_beta_sq(s_val)
+            grid.int_tr_beta(s_val)
+            p34_state(grid, s_val)
+    # beta1^2, t Tr beta1^2, Tr beta1^2, Tr beta1 and a2
+    assert len(calls) == 5
+    assert grid.int_t_beta_sq(0.25) == grid2.int_t_beta_sq(0.25)
 
 
 class _NoAccess(dict):

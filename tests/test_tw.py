@@ -203,3 +203,48 @@ def test_existence_scan_supercritical_matches_pole():
     _, crossing = existence_scan(c, -3.0, 0.0, n=25)
     assert crossing is not None
     assert abs(crossing - exc.value.pole_at) <= 0.1
+
+
+# float.hex of the Painleve values: any change to the solve or the integrals shows
+PAINLEVE_CASES = {
+    1: (ShiftVector(np.array([0.0])), CouplingMatrix(np.array([[0.8]]))),
+    2: (ShiftVector(np.array([0.0, 0.3])), C_HERM),
+    3: (ShiftVector(np.array([-0.2, 0.0, 0.4])),
+        CouplingMatrix(np.array([[0.5, 0.1, 0.05j], [0.1, 0.4, 0.2], [-0.05j, 0.2, 0.3]]))),
+}
+# r -> (det(Id - Ai^2), det(Id + Ai), det(Id - Ai)) as (re, im)
+PAINLEVE_GOLDENS = {
+    1: (("0x1.f5f6bd668f17cp-1", "0x0.0p+0"),
+        ("0x1.21e650180f8ddp+0", "-0x0.0p+0"),
+        ("0x1.bb442a0e01cf9p-1", "-0x0.0p+0")),
+    2: (("0x1.f8a21baae509cp-1", "0x1.040b05f9200b0p-79"),
+        ("0x1.24e32df887ffap+0", "-0x1.9559d0725e6a7p-77"),
+        ("0x1.b913e3cab28ffp-1", "0x1.6a0b76d260cf6p-77")),
+    3: (("0x1.f369952db00e3p-1", "0x1.aa53960a93692p-76"),
+        ("0x1.3823ef3fa21b6p+0", "0x1.550444db01828p-77"),
+        ("0x1.99970c17f6ef5p-1", "0x1.db8eb0abb2f0cp-77")),
+}
+# x -> (F2, F1, u)
+SCALAR_GOLDENS = {
+    -4.0: ("0x1.d0977b92143efp-9", "0x1.eff4941dfc332p-8", "0x1.6942e41ef0fcbp+0"),
+    0.0: ("0x1.f051a2a6d5af5p-1", "0x1.a9efdaa33f1ffp-1", "0x1.77defbbe0a32dp-2"),
+    2.0: ("0x1.fff142ed9f90ep-1", "0x1.faac886805665p-1", "0x1.1e21a3599e89bp-5"),
+}
+
+
+def _fromhex(pair):
+    return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
+
+
+@pytest.mark.parametrize("r", sorted(PAINLEVE_GOLDENS))
+def test_painleve_values_bit_exact(r):
+    s, c = PAINLEVE_CASES[r]
+    q = GapQuery(s, c, "painleve")
+    got = (det_airy_sq(q).painleve, det_airy(q, 1).painleve, det_airy(q, -1).painleve)
+    assert got == tuple(_fromhex(g) for g in PAINLEVE_GOLDENS[r])
+
+
+@pytest.mark.parametrize("x", sorted(SCALAR_GOLDENS))
+def test_scalar_chain_bit_exact(x):
+    got = (scalar_f2(x), scalar_f1(x), scalar_u(x))
+    assert got == tuple(float.fromhex(g) for g in SCALAR_GOLDENS[x])
