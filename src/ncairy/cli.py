@@ -36,7 +36,6 @@ class RunConfig:
     quad_nodes: int = 40
     hm_s0: float = 2.0
     hm_step: float = 1e-3
-    hm_tol: float = 1e-12
     output_format: str = "csv"
     seed: int = 0
 
@@ -53,13 +52,13 @@ class RunConfig:
         return CouplingMatrix(re + 1j * im)
 
 
-_LIST_KEYS = {"shifts", "coupling_re", "coupling_im"}
-_INT_KEYS = {"r", "quad_nodes", "seed"}
-_STR_KEYS = {"output_format"}
-
-
 def load_config(path: str) -> dict:
-    """Parse key = value lines; '#' starts a comment; lists are comma-split."""
+    """Parse key = value lines; '#' starts a comment; lists are comma-split.
+
+    Each key must be a RunConfig field, and its value is parsed as the type
+    of that field's default.
+    """
+    defaults = vars(RunConfig())   # field name -> default value
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -69,14 +68,12 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
             key, val = (p.strip() for p in line.split("=", 1))
-            if key in _LIST_KEYS:
+            if key not in defaults:
+                raise ValueError(f"unknown config key: {key}")
+            if isinstance(defaults[key], list):
                 out[key] = [float(v) for v in val.split(",") if v.strip()]
-            elif key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _STR_KEYS:
-                out[key] = val
             else:
-                out[key] = float(val)
+                out[key] = type(defaults[key])(val)
     return out
 
 
@@ -174,8 +171,6 @@ def _config_from_args(args) -> RunConfig:
     path = args.config or os.environ.get("NCAIRY_CONFIG")
     if path:
         for key, val in load_config(path).items():
-            if not hasattr(cfg, key):
-                raise ValueError(f"unknown config key: {key}")
             setattr(cfg, key, val)
     if args.r is not None:
         cfg.r = args.r
@@ -213,7 +208,7 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
                "log_abs": d.log_abs, "nodes_used": d.nodes_used,
                "est_error": d.est_error, "converged": d.converged}
         return [rec], 0
-    q = GapQuery(s, c, args.route, max(args.tol, 1e-10))
+    q = GapQuery(s, c, args.route, args.tol)
     if args.kind == "airy2":
         res = det_airy_sq(q, m=cfg.quad_nodes)
     else:
@@ -225,20 +220,16 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
         rec["est_error"] = res.nystrom.est_error
     if res.painleve is not None:
         rec["painleve"] = complex(res.painleve)
-    code = 0
     if res.diff is not None:
         rec["diff"] = float(res.diff)
-        if res.diff > args.tol * max(abs(res.nystrom.value), 1e-300):
-            code = 1
-    return [rec], code
+    return [rec], 1 if res.agree is False else 0
 
 
 def _cmd_hm_solve(cfg: RunConfig, args) -> tuple[list, int]:
     s = cfg.shift_vector()
     c = cfg.coupling()
     try:
-        grid = hm_solve(c, s.delta, S_min=args.xfrom, h=cfg.hm_step,
-                        s0=cfg.hm_s0, tol=cfg.hm_tol)
+        grid = hm_solve(c, s.delta, S_min=args.xfrom, h=cfg.hm_step, s0=cfg.hm_s0)
     except PoleEncountered as exc:
         grid = exc.grid
     records = []

@@ -26,8 +26,9 @@ __all__ = [
     "half_line_cutoff",
 ]
 
-_DEFAULT_M = 40
 _REFINE_CAP = 320
+_RAY_LENGTH = 10.0    # each ray of gamma_plus, measured from the basepoint
+_BASEPOINT = 0.5j
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,6 @@ def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.n
     """Id + z B with block (i,k) = sqrt(w_i) K(x_i,x_k) sqrt(w_k) (or K w_k)."""
     m = nodes.size
     kmat = np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=complex)
-    if kmat.shape != (m, m, r, r):
-        kmat = kmat.reshape(m, m, r, r)
     if split:
         sw = np.sqrt(weights)
         kmat = kmat * sw[:, None, None, None] * sw[None, :, None, None]
@@ -141,12 +140,12 @@ def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.n
     return np.eye(m * r, dtype=complex) + z * big
 
 
-def _refine(det_at, m: int, rays: int, refine: bool, tol: float, cap: int) -> DetResult:
+def _refine(det_at, m: int, rays: int, refine: bool, tol: float) -> DetResult:
     """Refinement loop shared by the half-line and contour routes.
 
     det_at(m) returns (det, log|det|) with m nodes per ray.  With refine=True
     m doubles until the change in log det falls below tol or doubling would
-    pass the cap; est_error is the last change.  nodes_used is rays * m.
+    pass _REFINE_CAP; est_error is the last change.  nodes_used is rays * m.
     """
     val, logabs = det_at(m)
     if not refine:
@@ -158,7 +157,7 @@ def _refine(det_at, m: int, rays: int, refine: bool, tol: float, cap: int) -> De
             est = abs(cur_log - prev_log)
             if est <= tol:
                 return DetResult(val, logabs, rays * m, est, True)
-        if 2 * m > cap:
+        if 2 * m > _REFINE_CAP:
             if prev_log is None:
                 raise ConvergenceFailure("refinement cap reached before any comparison")
             return DetResult(val, logabs, rays * m, est, False)
@@ -168,36 +167,37 @@ def _refine(det_at, m: int, rays: int, refine: bool, tol: float, cap: int) -> De
 
 
 def nystrom_det(kernel, r: int, z: complex, rule: QuadratureRule,
-                refine: bool = True, tol: float = 1e-10, cap: int = _REFINE_CAP,
-                split: bool = True) -> DetResult:
+                refine: bool = True, tol: float = 1e-10, split: bool = True) -> DetResult:
     """det(Id + z K) on the rule's interval [a, b] by block Nystrom.
 
-    The first pass uses the rule as given; with refine=True each further pass
-    uses a Gauss-Legendre rule with twice the nodes on [a, b] until the
-    change in log det falls below tol; est_error is the last change.
+    kernel(x, y) takes node arrays of shapes (m, 1) and (1, m) and returns
+    the r x r kernel blocks with shape (m, m, r, r).  The first pass uses the
+    rule as given; with refine=True each further pass uses a Gauss-Legendre
+    rule with twice the nodes on [a, b] until the change in log det falls
+    below tol or doubling would pass 320 nodes; est_error is the last change.
     """
     def det_at(m):
         rr = rule if m == rule.m else _interval_rule(m, rule.a, rule.b)
         return _lu_logdet(_assemble_block(kernel, r, z, rr.nodes, rr.weights, split=split))
 
-    return _refine(det_at, rule.m, 1, refine, tol, cap)
+    return _refine(det_at, rule.m, 1, refine, tol)
 
 
-def _contour_nodes(m_per_ray: int, radius: float, basepoint: complex = 0.5j):
+def _contour_nodes(m_per_ray: int):
     """Nodes and complex weights w_k dlambda/dt along gamma_plus, left to right.
 
-    The contour runs from basepoint + radius e^{i 5pi/6} down to the basepoint
-    and out to basepoint + radius e^{i pi/6}; each straight ray carries an
-    affinely mapped Gauss-Legendre rule and the direction factor of dlambda.
+    The contour runs from i/2 + 10 e^{i 5pi/6} down to the basepoint i/2 and
+    out to i/2 + 10 e^{i pi/6}; each straight ray carries an affinely mapped
+    Gauss-Legendre rule and the direction factor of dlambda.
     """
-    ray = _interval_rule(m_per_ray, 0.0, radius)
+    ray = _interval_rule(m_per_ray, 0.0, _RAY_LENGTH)
     t, wt = ray.nodes, ray.weights
     d_right = np.exp(1j * math.pi / 6.0)
     d_left = np.exp(5j * math.pi / 6.0)
-    # left ray traversed toward the basepoint: lambda = bp + (radius - t) d_left
-    lam_left = basepoint + (radius - t) * d_left
+    # left ray traversed toward the basepoint: lambda = bp + (length - t) d_left
+    lam_left = _BASEPOINT + (_RAY_LENGTH - t) * d_left
     w_left = -wt * d_left
-    lam_right = basepoint + t * d_right
+    lam_right = _BASEPOINT + t * d_right
     w_right = wt * d_right
     lam = np.concatenate([lam_left, lam_right])
     w = np.concatenate([w_left, w_right])
@@ -205,9 +205,8 @@ def _contour_nodes(m_per_ray: int, radius: float, basepoint: complex = 0.5j):
 
 
 def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
-                        m_per_ray: int = 60, radius: float = 10.0,
-                        refine: bool = True, tol: float = 1e-10,
-                        cap: int = _REFINE_CAP) -> DetResult:
+                        m_per_ray: int = 60, refine: bool = True,
+                        tol: float = 1e-10) -> DetResult:
     """det(Id + z K) for the contour kernel on gamma_plus.
 
     One-sided complex weights (no square-root splitting); the determinant is
@@ -217,7 +216,7 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
     r = s.r
 
     def det_at(mpr):
-        lam, w = _contour_nodes(mpr, radius)
+        lam, w = _contour_nodes(mpr)
         e1, e2 = contour_symbol(lam, s, C)
         denom = lam[:, None] + lam[None, :]
         kmat = np.einsum("ial,jak->ijlk", e1, e2) / denom[:, :, None, None]
@@ -225,11 +224,10 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
         big = kmat.transpose(0, 2, 1, 3).reshape(lam.size * r, lam.size * r)
         return _lu_logdet(np.eye(lam.size * r, dtype=complex) + z * big)
 
-    return _refine(det_at, m_per_ray, 2, refine, tol, cap)
+    return _refine(det_at, m_per_ray, 2, refine, tol)
 
 
-def spectral_radius(kernel, r: int, rule: QuadratureRule,
-                    tol: float = 1e-8, maxit: int = 10000) -> float:
+def spectral_radius(kernel, r: int, rule: QuadratureRule) -> float:
     """Largest-modulus eigenvalue of the discretized operator, power iteration."""
     a = _assemble_block(kernel, r, 1.0, rule.nodes, rule.weights) - np.eye(rule.m * r)
-    return power_iteration(a, 2718, tol, maxit)
+    return power_iteration(a, 2718, 1e-8)

@@ -35,7 +35,6 @@ class ShiftVector:
     s: np.ndarray
     S: float = field(init=False)
     delta: np.ndarray = field(init=False)
-    m: float = field(init=False)
 
     def __post_init__(self):
         s = np.atleast_1d(np.asarray(self.s, dtype=float))
@@ -45,10 +44,8 @@ class ShiftVector:
             raise DomainError("shift entries must be finite")
         object.__setattr__(self, "s", s)
         S = float(np.mean(s))
-        delta = s - S
         object.__setattr__(self, "S", S)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "m", float(np.max(np.abs(delta))))
+        object.__setattr__(self, "delta", s - S)
 
     @property
     def r(self) -> int:
@@ -59,18 +56,18 @@ class ShiftVector:
         return np.diag(self.s).astype(complex)
 
 
-def power_iteration(a: np.ndarray, seed: int, tol: float, maxit: int = 10000) -> float:
+def power_iteration(a: np.ndarray, seed: int, tol: float) -> float:
     """Largest |Rayleigh quotient| of a square matrix by power iteration.
 
     Starts from a seeded complex Gaussian vector and stops when the quotient
     changes by at most tol * max(1, quotient); raises ConvergenceFailure when
-    maxit sweeps do not get there.
+    10000 sweeps do not get there.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(maxit):
+    for _ in range(10000):
         w = a @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -192,7 +189,7 @@ def contour_symbol(lam, s: ShiftVector, C: CouplingMatrix) -> tuple[np.ndarray, 
         raise OverflowRisk("contour symbol exponent exceeds the exp() range")
     with np.errstate(under="ignore"):
         e = np.exp(th)
-    e2 = np.zeros(np.shape(lam) + (s.r, s.r), dtype=complex) if np.ndim(lam) else np.zeros((s.r, s.r), dtype=complex)
+    e2 = np.zeros(np.shape(lam) + (s.r, s.r), dtype=complex)
     idx = np.arange(s.r)
     e2[..., idx, idx] = e
     e1 = (-1.0 / (2j * math.pi)) * (e2 @ C.entries)

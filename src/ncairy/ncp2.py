@@ -10,8 +10,8 @@ matrices, residual diagnostics) are derived from the stored grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -75,21 +75,54 @@ def _pii_rhs(sv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 4.0 * (sv[..., :, None] * b + b * sv[..., None, :]) + 8.0 * b @ b @ b
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a; a itself stays as writable as it was."""
+    v = np.asarray(a).view()
+    v.flags.writeable = False
+    return v
+
+
+@cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1]."""
+    base = gauss_legendre(64)
+    return _read_only(base.nodes), _read_only(base.weights)
+
+
+@dataclass(frozen=True, eq=False)
 class PicardTail:
-    """Converged tail samples of (beta1, Dbeta1) on Gauss-Legendre nodes."""
+    """Converged tail samples of (beta1, Dbeta1) on Gauss-Legendre nodes.
+
+    beta holds beta1 at the 64 nodes of [S0, S_max], S_max = S0 + 8; it is
+    None only on the seed tail that hm_tail_picard iterates with.
+    """
 
     C: CouplingMatrix
     delta: np.ndarray
     S0: float
-    S_max: float
-    nodes: np.ndarray
-    beta: np.ndarray
+    beta: np.ndarray | None
     sweeps: int
     final_change: float
-    _bw: np.ndarray = field(repr=False, default=None)
-    _sub_nodes: np.ndarray = field(repr=False, default=None)
-    _sub_weights: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def S_max(self) -> float:
+        return self.S0 + 8.0
+
+    @property
+    def _sub_nodes(self) -> np.ndarray:
+        return _tail_rule()[0]
+
+    @property
+    def _sub_weights(self) -> np.ndarray:
+        return _tail_rule()[1]
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self.S0 + 0.5 * (self.S_max - self.S0) * (self._sub_nodes + 1.0)
+
+    @cached_property
+    def _bw(self) -> np.ndarray:
+        return _bary_weights(self.nodes)
 
     def _offsets(self) -> np.ndarray:
         return self.delta[:, None] + self.delta[None, :]
@@ -136,11 +169,11 @@ class PicardTail:
         return self._du(s_pts) + self._integral(s_pts, self.beta, deriv=True)
 
 
-def hm_tail_picard(C: CouplingMatrix, delta, S0: float, tol: float = 1e-12) -> PicardTail:
+def hm_tail_picard(C: CouplingMatrix, delta, S0: float) -> PicardTail:
     """Fixed-point solve of the tail integral equation on [S0, S0 + 8].
 
     Starts from the pure Airy seed on 64 Gauss-Legendre nodes and iterates
-    until the sup-norm change drops below tol, for at most 200 sweeps.
+    until the sup-norm change drops below 1e-12, for at most 200 sweeps.
     Raises NoContraction if the change grows for three consecutive sweeps
     (S0 too far left).
     """
@@ -148,13 +181,8 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, tol: float = 1e-12) -> P
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     if S0 < 1.0 + m:
         raise DomainError("tail start S0 must satisfy S0 >= 1 + max|delta|")
-    S_max = S0 + 8.0
-    base = gauss_legendre(64)
-    nodes = S0 + 0.5 * (S_max - S0) * (base.nodes + 1.0)
-    tail = PicardTail(C, delta, S0, S_max, nodes, None, 0, math.inf)
-    tail._bw = _bary_weights(nodes)
-    tail._sub_nodes = base.nodes
-    tail._sub_weights = base.weights
+    tail = PicardTail(C, delta, S0, None, 0, math.inf)
+    nodes = tail.nodes
     beta = tail._u(nodes)
     prev_change = math.inf
     grow_streak = 0
@@ -162,11 +190,8 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, tol: float = 1e-12) -> P
         new = tail._u(nodes) + tail._integral(nodes, beta, deriv=False)
         change = float(np.max(np.abs(new - beta)))
         beta = new
-        if change <= tol:
-            tail.beta = beta
-            tail.sweeps = sweep
-            tail.final_change = change
-            return tail
+        if change <= 1e-12:
+            return replace(tail, beta=beta, sweeps=sweep, final_change=change)
         if change > prev_change:
             grow_streak += 1
             if grow_streak >= 3:
@@ -175,13 +200,6 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, tol: float = 1e-12) -> P
             grow_streak = 0
         prev_change = change
     raise ConvergenceFailure("Picard iteration exhausted its sweep budget")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only view of a; a itself stays as writable as it was."""
-    v = np.asarray(a).view()
-    v.flags.writeable = False
-    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,19 +328,15 @@ def _reverse_cumulative(f: np.ndarray, h: float, tail_const) -> np.ndarray:
     n = f.shape[0]
     out = np.empty_like(np.asarray(f, dtype=complex))
     out[-1] = tail_const
-    if n >= 4:
-        # interior panels [i, i+1] via nodes i-1..i+2
-        panel = np.empty(f.shape[:1] + f.shape[1:], dtype=complex)[: n - 1]
-        panel[1:n - 2] = (h / 24.0) * (-f[0:n - 3] + 13.0 * f[1:n - 2]
-                                       + 13.0 * f[2:n - 1] - f[3:n])
-        panel[0] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
-        panel[n - 2] = (h / 24.0) * (9.0 * f[n - 1] + 19.0 * f[n - 2]
-                                     - 5.0 * f[n - 3] + f[n - 4])
-        rev = np.cumsum(panel[::-1], axis=0)[::-1]
-        out[:-1] = tail_const + rev
-    elif n >= 2:
-        for i in range(n - 2, -1, -1):
-            out[i] = out[i + 1] + 0.5 * h * (f[i] + f[i + 1])
+    # interior panels [i, i+1] via nodes i-1..i+2; every grid has n >= 801
+    panel = np.empty(f.shape[:1] + f.shape[1:], dtype=complex)[: n - 1]
+    panel[1:n - 2] = (h / 24.0) * (-f[0:n - 3] + 13.0 * f[1:n - 2]
+                                   + 13.0 * f[2:n - 1] - f[3:n])
+    panel[0] = (h / 24.0) * (9.0 * f[0] + 19.0 * f[1] - 5.0 * f[2] + f[3])
+    panel[n - 2] = (h / 24.0) * (9.0 * f[n - 1] + 19.0 * f[n - 2]
+                                 - 5.0 * f[n - 3] + f[n - 4])
+    rev = np.cumsum(panel[::-1], axis=0)[::-1]
+    out[:-1] = tail_const + rev
     return out
 
 
@@ -384,15 +398,14 @@ def _blown(b: np.ndarray) -> bool:
     return not (np.abs(b).max() <= _BLOWUP)
 
 
-def hm_continue(C: CouplingMatrix, delta, tail: PicardTail, S_min: float,
-                h: float = 1e-3) -> HMGrid:
+def hm_continue(tail: PicardTail, S_min: float, h: float = 1e-3) -> HMGrid:
     """Continue the tail solution leftward by fixed-step RK4.
 
     The tail's samples populate the grid above its start S0.  On blow-up
     the pole is bracketed to h/16 and PoleEncountered is raised with the
     valid grid attached.
     """
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    delta = tail.delta
     if h > 1e-2:
         raise DomainError("continuation step must satisfy h <= 1e-2")
     s0 = tail.S0
@@ -430,7 +443,7 @@ def hm_continue(C: CouplingMatrix, delta, tail: PicardTail, S_min: float,
     s_all = np.concatenate([s_down, s_up])
     b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *b0.shape), b_up])
     db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *b0.shape), db_up])
-    grid = HMGrid(C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
+    grid = HMGrid(tail.C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
     if pole_at is not None:
         err = PoleEncountered(pole_at)
         err.grid = grid
@@ -450,7 +463,7 @@ def _cache_put(key, grid: HMGrid) -> None:
 
 
 def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
-             s0: float = 2.0, tol: float = 1e-12, cached: bool = True) -> HMGrid:
+             s0: float = 2.0, cached: bool = True) -> HMGrid:
     """Tail Picard solve plus leftward continuation, with adaptive tail start.
 
     The tail start is raised by 0.5 (at most four times) if the Picard map
@@ -474,7 +487,7 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
         k += 1
     s0 = k * h
     # adding 0.0 turns -0.0 into +0.0, so the sign of a zero entry splits no key
-    rest = ((delta + 0.0).tobytes(), float(S_min), float(h), s0, tol)
+    rest = ((delta + 0.0).tobytes(), float(S_min), float(h), s0)
     key = ((C.entries + 0.0).tobytes(),) + rest
     if cached:
         grid = _GRID_CACHE.pop(key, None)
@@ -488,8 +501,8 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     last_exc = None
     for attempt in range(5):
         try:
-            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt, tol=tol)
-            grid = hm_continue(C, delta, tail, S_min, h)
+            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt)
+            grid = hm_continue(tail, S_min, h)
             if cached:
                 _cache_put(key, grid)
             return grid
@@ -540,7 +553,6 @@ class LaxPair:
     UD1: np.ndarray
     UD0: np.ndarray
     U_j: tuple
-    sigmas: dict
 
     def a_at(self, lam: complex) -> np.ndarray:
         return self.A2 * lam * lam + self.A1 * lam + self.A0
@@ -570,8 +582,7 @@ def lax_matrices(grid: HMGrid, S: float) -> LaxPair:
         const = 1.0j * np.kron(al @ e - e @ al, np.eye(2, dtype=complex)) \
             + np.kron(b @ e + e @ b, SIGMA1)
         u_j.append((lin, const))
-    return LaxPair(a2, a1, a0, ud1, ud0, tuple(u_j),
-                   {"sigma1": SIGMA1, "sigma2": SIGMA2, "sigma3": SIGMA3})
+    return LaxPair(a2, a1, a0, ud1, ud0, tuple(u_j))
 
 
 def zero_curvature_residual_p2(grid: HMGrid, S: float, lambda_samples) -> float:

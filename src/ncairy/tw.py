@@ -38,7 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GapQuery:
-    """A determinant request: shifts, coupling, route selection, tolerance."""
+    """A determinant request: shifts, coupling, route selection, tolerance.
+
+    tol is the relative tolerance of the route verdict GapResult.agree; it
+    must be at least 1e-10.
+    """
 
     s: ShiftVector
     C: CouplingMatrix
@@ -48,34 +52,34 @@ class GapQuery:
     def __post_init__(self):
         if self.route not in ("nystrom", "painleve", "both"):
             raise DomainError("route must be nystrom, painleve or both")
-        if self.tol < 1e-10:
+        if not self.tol >= 1e-10:   # NaN fails this test too
             raise DomainError("tolerance below 1e-10 is not supported")
 
 
 @dataclass(frozen=True)
 class GapResult:
-    """Values from the requested routes and their absolute difference."""
+    """Values from the requested routes, their absolute difference and verdict.
+
+    agree is diff <= tol * |Nystrom value| for the query's tol; diff and
+    agree are None unless both routes ran.
+    """
 
     nystrom: DetResult | None
     painleve: complex | None
     diff: float | None
-
-    @property
-    def value(self) -> complex:
-        if self.nystrom is not None:
-            return self.nystrom.value
-        return self.painleve
+    agree: bool | None
 
 
 def _grid_for(C: CouplingMatrix, s: ShiftVector) -> HMGrid:
     return hm_solve(C, s.delta, S_min=min(-1.5, s.S - 0.1))
 
 
-def _pack(nys, pain) -> GapResult:
-    diff = None
-    if nys is not None and pain is not None:
-        diff = abs(nys.value - pain)
-    return GapResult(nys, pain, diff)
+def _pack(q: GapQuery, nys, pain) -> GapResult:
+    if nys is None or pain is None:
+        return GapResult(nys, pain, None, None)
+    diff = abs(nys.value - pain)
+    # a Python bool, so that `agree is False` holds when the routes differ
+    return GapResult(nys, pain, diff, bool(diff <= q.tol * max(abs(nys.value), 1e-300)))
 
 
 def _half_line_det(kernel, s: ShiftVector, C: CouplingMatrix, z: float, m: int) -> DetResult:
@@ -99,7 +103,7 @@ def det_airy_sq(q: GapQuery, m: int = 40) -> GapResult:
     if q.route in ("painleve", "both"):
         grid = _grid_for(q.C, q.s)
         pain = complex(np.exp(-4.0 * grid.int_t_beta_sq(q.s.S)))
-    return _pack(nys, pain)
+    return _pack(q, nys, pain)
 
 
 def det_airy(q: GapQuery, sign: int, m: int = 40) -> GapResult:
@@ -121,10 +125,13 @@ def det_airy(q: GapQuery, sign: int, m: int = 40) -> GapResult:
         s0 = q.s.S
         log_det = -grid.int_tr_beta(s0) - 2.0 * grid.int_t_beta_sq(s0)
         pain = complex(np.exp(log_det))
-    return _pack(nys, pain)
+    return _pack(q, nys, pain)
 
 
-def _scalar_grid() -> HMGrid:
+def _scalar_grid(x: float) -> HMGrid:
+    """The r = 1, unit-coupling grid behind every scalar-chain value at x."""
+    if not x >= -8.0:   # NaN fails this test too
+        raise OutOfRange("scalar distributions are supported for x >= -8")
     return hm_solve(CouplingMatrix(np.array([[1.0]])), [0.0], S_min=-4.2)
 
 
@@ -135,24 +142,20 @@ def scalar_f2(x: float) -> float:
     change of variable turns the integral into the matrix trace formula at
     shift x/2.
     """
-    if x < -8.0:
-        raise OutOfRange("scalar distributions are supported for x >= -8")
-    grid = _scalar_grid()
+    grid = _scalar_grid(x)
     return float(np.real(np.exp(-4.0 * grid.int_t_beta_sq(0.5 * x))))
 
 
 def scalar_f1(x: float) -> float:
     """GOE edge distribution F1(x) = exp(-1/2 int_x^inf u) * sqrt(F2(x))."""
-    if x < -8.0:
-        raise OutOfRange("scalar distributions are supported for x >= -8")
-    grid = _scalar_grid()
+    grid = _scalar_grid(x)
     int_u = -2.0 * np.real(grid.int_tr_beta(0.5 * x))
     return float(np.exp(-0.5 * int_u) * math.sqrt(scalar_f2(x)))
 
 
 def scalar_u(x: float) -> float:
     """The Hastings-McLeod solution u(x) ~ Ai(x) of u'' = 2u^3 + x u."""
-    grid = _scalar_grid()
+    grid = _scalar_grid(x)
     return float(-np.real(grid.beta1_at(0.5 * x)[0, 0]))
 
 
@@ -167,9 +170,7 @@ def scalar_w_checks(x: float) -> tuple[float, float]:
 
     f1_alt = exp(-int_x^inf (y-x) w(y) dy); it must agree with scalar_f1.
     """
-    if x < -8.0:
-        raise OutOfRange("scalar distributions are supported for x >= -8")
-    grid = _scalar_grid()
+    grid = _scalar_grid(x)
     w = _w_of(grid, x)
     s0 = 0.5 * x
     # int_x^inf (y-x) w dy = 2 int_{x/2}^inf (t-x/2) beta^2 dt - int beta
@@ -179,7 +180,7 @@ def scalar_w_checks(x: float) -> tuple[float, float]:
 
 def p34_scalar_residual(x: float) -> float:
     """Defect of w''' = 12 w w' + 2 w + x w' by finite differences in x."""
-    grid = _scalar_grid()
+    grid = _scalar_grid(x)
     dx = 2.0 * grid.h
     ws = np.array([_w_of(grid, x + k * dx) for k in range(-2, 3)])
     wp = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dx)
@@ -187,17 +188,14 @@ def p34_scalar_residual(x: float) -> float:
     return abs(wppp - (12.0 * ws[2] * wp + 2.0 * ws[2] + x * wp))
 
 
-def _log_det_scalar(kind: str, s: float, c: float = 1.0, m: int = 40) -> float:
-    sv = ShiftVector(np.array([s]))
-    cm = CouplingMatrix(np.array([[c]]))
-    if kind == "sq":
-        d = _half_line_det(matrix_airy_sq_kernel, sv, cm, -1.0, m)
-    else:
-        d = _half_line_det(matrix_airy_kernel, sv, cm, -1.0 if kind == "minus" else 1.0, m)
+def _log_det_scalar(kernel, s: float) -> float:
+    """log det(Id - K) by Nystrom for r = 1, unit coupling and shift s."""
+    d = _half_line_det(kernel, ShiftVector(np.array([s])), CouplingMatrix(np.array([[1.0]])),
+                       -1.0, 40)
     return float(np.log(np.real(d.value)))
 
 
-def miura_residual(s_center: float, h: float = 1e-2, c: float = 1.0) -> tuple[float, float]:
+def miura_residual(s_center: float, h: float = 1e-2) -> tuple[float, float]:
     """(miura, remiu): tau-function Miura defects for r = 1.
 
     miura is |(d ln tau_Xi - 2 d ln tau_Gamma)^2 + d^2 ln tau_Xi| with both
@@ -205,8 +203,8 @@ def miura_residual(s_center: float, h: float = 1e-2, c: float = 1.0) -> tuple[fl
     checks u = -v^2 +- v' for u = 2 d^2 ln tau_Gamma, v^2 = -d^2 ln tau_Xi.
     """
     ks = np.arange(-3, 4)
-    lxi = np.array([_log_det_scalar("sq", s_center + k * h, c) for k in ks])
-    lga = np.array([_log_det_scalar("minus", s_center + k * h, c) for k in ks])
+    lxi = np.array([_log_det_scalar(matrix_airy_sq_kernel, s_center + k * h) for k in ks])
+    lga = np.array([_log_det_scalar(matrix_airy_kernel, s_center + k * h) for k in ks])
 
     def d1(f, i):
         return (f[i + 1] - f[i - 1]) / (2.0 * h)
@@ -224,8 +222,8 @@ def miura_residual(s_center: float, h: float = 1e-2, c: float = 1.0) -> tuple[fl
 
 
 def total_positivity_check(s: ShiftVector, C: CouplingMatrix, trials: int = 100,
-                           k_max: int = 4, seed: int = 0) -> float:
-    """Minimum determinant of random [K(xi_a, xi_b)] matrices.
+                           seed: int = 0) -> float:
+    """Minimum determinant of random [K(xi_a, xi_b)] matrices of order 1 to 4.
 
     Points are (level, position) pairs with positions >= -5; the squared
     convolution kernel defines a determinantal process, so every such
@@ -234,7 +232,7 @@ def total_positivity_check(s: ShiftVector, C: CouplingMatrix, trials: int = 100,
     rng = np.random.default_rng(seed)
     worst = math.inf
     for _ in range(trials):
-        k = int(rng.integers(1, k_max + 1))
+        k = int(rng.integers(1, 5))
         levels = rng.integers(0, s.r, size=k)
         xs = rng.uniform(-5.0, 5.0, size=k)
         mat = np.empty((k, k))
@@ -246,8 +244,7 @@ def total_positivity_check(s: ShiftVector, C: CouplingMatrix, trials: int = 100,
     return worst
 
 
-def de_bruijn_check(s: ShiftVector, C: CouplingMatrix, pts, m: int = 120,
-                    cutoff: float = 40.0) -> tuple[float, float]:
+def de_bruijn_check(s: ShiftVector, C: CouplingMatrix, pts) -> tuple[float, float]:
     """K=2 determinant vs the minor-product double integral (real C).
 
     pts is a pair ((j1, x1), (j2, x2)); returns (determinant value, relative
@@ -260,7 +257,7 @@ def de_bruijn_check(s: ShiftVector, C: CouplingMatrix, pts, m: int = 120,
     k21 = np.real(matrix_airy_sq_kernel(x2, x1, s, C)[j2, j1])
     k22 = np.real(matrix_airy_sq_kernel(x2, x2, s, C)[j2, j2])
     det_direct = float(k11 * k22 - k12 * k21)
-    quad = half_line_rule(m, cutoff)
+    quad = half_line_rule(120, 40.0)
     z, wz = quad.nodes, quad.weights
     r = s.r
     c = np.real(C.entries)
@@ -288,12 +285,12 @@ def de_bruijn_check(s: ShiftVector, C: CouplingMatrix, pts, m: int = 120,
 
 
 def existence_scan(C: CouplingMatrix, s_lo: float, s_hi: float, n: int = 25,
-                   m: int = 40, bisect_tol: float = 1e-3):
+                   m: int = 40):
     """Sample det(Id - Ai^2) over equal shifts and locate a zero crossing.
 
     Returns (samples, crossing) where samples is a list of (s, det) pairs
-    and crossing is the bisected first sign change (None if the determinant
-    stays positive, as it must when sigma_max <= 1).
+    and crossing is the first sign change, bisected to a bracket of 1e-3
+    (None if the determinant stays positive, as it must when sigma_max <= 1).
     """
     r = C.r
 
@@ -312,7 +309,7 @@ def existence_scan(C: CouplingMatrix, s_lo: float, s_hi: float, n: int = 25,
         if vals[i] * vals[i + 1] < 0.0:
             lo, hi = float(ss[i]), float(ss[i + 1])
             fhi = vals[i + 1]
-            while hi - lo > bisect_tol:
+            while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
                 fm = det_at(mid)
                 if fhi * fm <= 0.0:

@@ -125,19 +125,43 @@ def test_bad_input_exit_two(capsys):
     assert code == 2
 
 
+def test_det_routes_disagree_exit_one(capsys):
+    # at c = 1, S = -4 the Nystrom value is unconverged and the routes
+    # differ by more than the default tol
+    code, out, _ = _run(["det", "--shifts=-4", "--kind", "airy2", "--route", "both"], capsys)
+    assert code == 1
+    assert out.startswith("kind,sign,route,")
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "nan"])
+def test_det_tol_below_floor_exit_two(capsys, tol):
+    code, out, err = _run(["det", "--kind", "airy2", "--route", "both", "--tol", tol], capsys)
+    assert code == 2 and out == ""
+    assert "tolerance below 1e-10" in err
+
+
 def test_removed_cutoff_flag_exit_two(capsys):
     code, _, err = _run(["det", "--cutoff", "30"], capsys)
     assert code == 2
     assert "--cutoff" in err
 
 
-@pytest.mark.parametrize("key", ["quad_cutoff", "hm_smax"])
+@pytest.mark.parametrize("key", ["quad_cutoff", "hm_smax", "hm_tol"])
 def test_removed_config_keys_exit_two(tmp_path, capsys, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = 30\n")
     code, _, err = _run(["det", "--config", str(cfg)], capsys)
     assert code == 2
     assert f"unknown config key: {key}" in err
+
+
+def test_config_method_name_exit_two(tmp_path, capsys):
+    # RunConfig.coupling is a method, not a config key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("coupling = 1\n")
+    code, _, err = _run(["det", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config key: coupling" in err
 
 
 def test_write_table_complex_csv():

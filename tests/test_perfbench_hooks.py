@@ -43,13 +43,20 @@ def test_tracer_installs_on_live_package():
         grid = lib.hm_solve(lib.CouplingMatrix(np.array([[0.5]])), [0.0], S_min=2.5,
                             cached=False)
         grid.int_beta_sq(3.0)
+        # one half-line and one contour determinant: spans.py binds their arguments
+        s, c = lib.ShiftVector(np.array([2.0])), lib.CouplingMatrix(np.array([[0.5]]))
+        lib.det_airy_sq(lib.GapQuery(s, c, "nystrom"))
+        lib.nystrom_det_contour(s, c, -1.0)
         tracer.set_spans(False)
     finally:
         tracer.restore()
     names = {s.name for s in tracer.spans}
-    assert {"ncp2.solve", "ncp2.picard", "ncp2.continue", "ncp2.query"} <= names
+    assert {"ncp2.solve", "ncp2.picard", "ncp2.continue", "ncp2.query", "fredholm"} <= names
     picard = next(s for s in tracer.spans if s.name == "ncp2.picard")
     assert picard.attrs["sweeps"] > 0
+    dets = [s for s in tracer.spans if s.name == "fredholm"]
+    assert [d.fn for d in dets] == ["nystrom_det", "nystrom_det_contour"]
+    assert all(d.attrs["passes"] >= 2 and d.attrs["nodes"] > 0 for d in dets)
     assert nc.ncp2.hm_tail_picard is originals["picard"]
     assert nc.tw.hm_solve is originals["solve"]
     assert nc.ncp2.HMGrid.int_beta_sq is originals["query"]

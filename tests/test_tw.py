@@ -67,6 +67,15 @@ def test_route_agreement_nonsymmetric_real():
     assert res.diff <= 1e-6 * abs(res.nystrom.value)
 
 
+def test_route_verdict_is_bool_or_none():
+    s = ShiftVector(np.array([1.0]))
+    c = CouplingMatrix(np.array([[0.8]]))
+    assert det_airy_sq(GapQuery(s, c, "both")).agree is True
+    for route in ("nystrom", "painleve"):
+        res = det_airy_sq(GapQuery(s, c, route))
+        assert res.diff is None and res.agree is None
+
+
 def test_factorization_identity():
     for s, c in [(ShiftVector(np.array([0.0])), CouplingMatrix(np.array([[0.8]]))),
                  (ShiftVector(np.array([0.2, -0.1])), C_HERM)]:
@@ -157,6 +166,13 @@ def test_scalar_u_is_positive_decaying():
     assert 0 < scalar_u(4.0) < scalar_u(0.0)
     with pytest.raises(OutOfRange):
         scalar_f2(-9.0)
+
+
+@pytest.mark.parametrize("x", [-8.2, math.nan])
+@pytest.mark.parametrize("fn", [scalar_f2, scalar_u, p34_scalar_residual])
+def test_scalar_chain_range_guard(fn, x):
+    with pytest.raises(OutOfRange):
+        fn(x)
 
 
 def test_p34_scalar_residual():
