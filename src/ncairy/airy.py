@@ -233,9 +233,11 @@ def airy_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     """Vectorized scaled evaluation: (ai_s, aip_s, bi_s, bip_s, zeta).
 
     For x >= 0 the ai values carry e^{+zeta}, bi values e^{-zeta}; for x < 0
-    the values are unscaled and zeta = 0.  Inputs must be finite.
+    the values are unscaled and zeta = 0.  Non-finite inputs raise DomainError.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("Airy arguments must be finite")
     shp = x.shape
     x = np.ravel(x)
     ai = np.empty_like(x)

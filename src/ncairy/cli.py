@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NcairyError, PoleEncountered
+from .errors import DomainError, NcairyError, PoleEncountered
 from .fredholm import nystrom_det_contour
 from .kernels import CouplingMatrix, ShiftVector
 from .ncp2 import hm_solve
@@ -202,13 +203,13 @@ def _config_from_args(args) -> RunConfig:
 def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
     s = cfg.shift_vector()
     c = cfg.coupling()
+    q = GapQuery(s, c, args.route, args.tol)   # validates --tol for every kind
     if args.kind == "contour":
         d = nystrom_det_contour(s, c, float(args.sign), m_per_ray=cfg.quad_nodes)
         rec = {"kind": "contour", "sign": args.sign, "value": complex(d.value),
                "log_abs": d.log_abs, "nodes_used": d.nodes_used,
                "est_error": d.est_error, "converged": d.converged}
         return [rec], 0
-    q = GapQuery(s, c, args.route, args.tol)
     if args.kind == "airy2":
         res = det_airy_sq(q, m=cfg.quad_nodes)
     else:
@@ -225,16 +226,26 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
     return [rec], 1 if res.agree is False else 0
 
 
+def _n_steps(args) -> int:
+    """Number of --step intervals from --from to --to; all three must be finite."""
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise DomainError("--step must be finite and positive")
+    n = (args.xto - args.xfrom) / args.step
+    if not math.isfinite(n):
+        raise DomainError("--from and --to must be finite")
+    return int(round(n))
+
+
 def _cmd_hm_solve(cfg: RunConfig, args) -> tuple[list, int]:
     s = cfg.shift_vector()
     c = cfg.coupling()
+    n_steps = _n_steps(args)
     try:
         grid = hm_solve(c, s.delta, S_min=args.xfrom, h=cfg.hm_step, s0=cfg.hm_s0)
     except PoleEncountered as exc:
         grid = exc.grid
     records = []
     r = cfg.r
-    n_steps = int(round((args.xto - args.xfrom) / args.step))
     for k in range(n_steps + 1):
         sv = args.xfrom + k * args.step
         if sv < grid.S_values[0] - 1e-12 or sv > grid.S_values[-1] + 1e-12:
@@ -254,7 +265,7 @@ def _cmd_hm_solve(cfg: RunConfig, args) -> tuple[list, int]:
 
 def _cmd_scalar(cfg: RunConfig, args, which: str) -> tuple[list, int]:
     records = []
-    n_steps = int(round((args.xto - args.xfrom) / args.step))
+    n_steps = _n_steps(args)
     fn = scalar_f1 if which == "f1" else scalar_f2
     for k in range(n_steps + 1):
         x = args.xfrom + k * args.step
@@ -264,7 +275,7 @@ def _cmd_scalar(cfg: RunConfig, args, which: str) -> tuple[list, int]:
 
 def _cmd_scan(cfg: RunConfig, args) -> tuple[list, int]:
     c = cfg.coupling()
-    n = max(int(round((args.xto - args.xfrom) / args.step)) + 1, 2)
+    n = max(_n_steps(args) + 1, 2)
     samples, crossing = existence_scan(c, args.xfrom, args.xto, n=n, m=cfg.quad_nodes)
     records = [{"s": sv, "det": dv} for sv, dv in samples]
     if crossing is not None:

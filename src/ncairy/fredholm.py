@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -67,8 +68,9 @@ class DetResult:
     converged: bool
 
 
+@cache   # at most 511 entries: the order range is [2, 512]
 def gauss_legendre(m: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1].
+    """Gauss-Legendre rule on [-1, 1], built once per order and read-only.
 
     Nodes are Newton-refined roots of the degree-m Legendre polynomial
     starting from Chebyshev guesses; weights use 2 / ((1-x^2) P_m'(x)^2).
@@ -98,6 +100,8 @@ def gauss_legendre(m: int) -> QuadratureRule:
     # enforce exact symmetry about 0
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
+    x.flags.writeable = False
+    w.flags.writeable = False
     return QuadratureRule(x, w, -1.0, 1.0)
 
 

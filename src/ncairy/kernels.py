@@ -116,6 +116,26 @@ class CouplingMatrix:
         return CouplingMatrix(-self.entries)
 
 
+def _ai_distinct(*arrays) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(Ai, Ai') at each array's shape, from one ai_arrays pass on their distinct values.
+
+    ai_arrays works elementwise apart from the Maclaurin series' stopping
+    test, which reads the batch maximum; dropping repeats leaves that
+    maximum alone, so each value is bit-identical to a pass over the arrays
+    with their repeats.  -0.0 and 0.0 share one entry, and Ai is the same at
+    both.
+    """
+    flat = [np.ravel(a) for a in arrays]
+    uniq, inv = np.unique(np.concatenate(flat), return_inverse=True)
+    ai_u, aip_u = ai_arrays(uniq)
+    out, start = [], 0
+    for a, f in zip(arrays, flat):
+        idx = inv[start:start + f.size].reshape(np.shape(a))
+        out.append((ai_u[idx], aip_u[idx]))
+        start += f.size
+    return out
+
+
 def matrix_airy_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray:
     """Entry (j,k) = c_jk * Ai(x + y + s_j + s_k).
 
@@ -125,8 +145,7 @@ def matrix_airy_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ss = s.s[:, None] + s.s[None, :]
-    args = (x + y)[..., None, None] + ss
-    ai, _ = ai_arrays(args)
+    ((ai, _),) = _ai_distinct((x + y)[..., None, None] + ss)
     return C.entries * ai
 
 
@@ -138,9 +157,7 @@ def scalar_airy_kernel(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    aa, aap = ai_arrays(a)
-    ba, bap = ai_arrays(b)
+    (aa, aap), (ba, bap) = _ai_distinct(a, b)
     d = a - b
     near = np.abs(d) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,15 +177,13 @@ def matrix_airy_sq_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
-    r = s.r
     # arguments: a[j1,k] = x + s_j1 + s_k, b[j2,k] = y + s_j2 + s_k
     a = x[..., None, None] + (s.s[:, None] + s.s[None, :])
     b = y[..., None, None] + (s.s[:, None] + s.s[None, :])
     # K[j1, j2, k] = K_Ai(a[j1,k], b[j2,k])
     k_ai = scalar_airy_kernel(a[..., :, None, :], b[..., None, :, :])
     w = C.entries[:, None, :] * C.entries.T[None, :, :]  # w[j1,j2,k] = c_{j1 k} c_{k j2}
-    return np.sum(w * np.asarray(k_ai).reshape(x.shape + (r, r, r)), axis=-1)
+    return np.sum(w * k_ai, axis=-1)
 
 
 def _theta_exponents(lam, s: ShiftVector) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -82,13 +82,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
-@cache
-def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the 64-point Gauss-Legendre rule on [-1, 1]."""
-    base = gauss_legendre(64)
-    return _read_only(base.nodes), _read_only(base.weights)
-
-
 @dataclass(frozen=True, eq=False)
 class PicardTail:
     """Converged tail samples of (beta1, Dbeta1) on Gauss-Legendre nodes.
@@ -110,11 +103,11 @@ class PicardTail:
 
     @property
     def _sub_nodes(self) -> np.ndarray:
-        return _tail_rule()[0]
+        return gauss_legendre(64).nodes
 
     @property
     def _sub_weights(self) -> np.ndarray:
-        return _tail_rule()[1]
+        return gauss_legendre(64).weights
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -278,7 +271,7 @@ class HMGrid:
         for mid in range(r):
             a = 2.0 * s_max + d[:, None] + d[mid]
             b = 2.0 * s_max + d[mid] + d[None, :]
-            k = scalar_airy_kernel(a + 0.0 * b, b + 0.0 * a)
+            k = scalar_airy_kernel(a, b)
             tail += c[:, mid:mid + 1] * c[mid:mid + 1, :] * 0.5 * np.asarray(k)
         b2 = np.einsum("nij,njk->nik", self.beta1, self.beta1)
         return _read_only(_reverse_cumulative(b2, self.h, tail))
@@ -477,8 +470,13 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     preserves this exactly, since rounding is symmetric in sign (only the
     sign of an exact zero can differ).  A -C grid is therefore served as the
     exact negation of a cached +C grid, with no Picard or RK4 work.
-    cached=False neither reads nor writes the cache.
+    cached=False neither reads nor writes the cache.  A non-finite s0 or a
+    step outside 0 < h <= 1e-2 raises DomainError before any work.
     """
+    if not math.isfinite(s0):
+        raise DomainError("tail start s0 must be finite")
+    if not 0.0 < h <= 1e-2:   # NaN fails this test too
+        raise DomainError("continuation step must satisfy 0 < h <= 1e-2")
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     s0 = max(s0, 1.0 + m)

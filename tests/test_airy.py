@@ -95,6 +95,16 @@ def test_invalid_inputs_raise():
         airy_eval(float("inf"))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [airy_arrays, ai_arrays])
+def test_arrays_reject_nonfinite(fn, bad):
+    # without the check no region mask matches and np.empty leaks through
+    with pytest.raises(DomainError):
+        fn(np.array([bad]))
+    with pytest.raises(DomainError):
+        fn(np.array([[0.5, -2.0], [bad, 12.0]]))
+
+
 def test_unscaled_bi_overflow_guard():
     with pytest.raises(OverflowRisk):
         airy_eval(150.0)

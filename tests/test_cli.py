@@ -140,6 +140,39 @@ def test_det_tol_below_floor_exit_two(capsys, tol):
     assert "tolerance below 1e-10" in err
 
 
+def test_det_contour_tol_below_floor_exit_two(capsys):
+    code, out, err = _run(["det", "--kind", "contour", "--tol", "1e-12"], capsys)
+    assert code == 2 and out == ""
+    assert "tolerance below 1e-10" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["f2", "--step", "0"],
+    ["f2", "--step", "-0.5"],
+    ["scan", "--step", "0"],
+    ["hm-solve", "--step", "nan"],
+    ["hm-solve", "--from", "nan"],
+], ids=["f2-zero", "f2-negative", "scan-zero", "hm-solve-nan", "hm-solve-from-nan"])
+def test_table_step_exit_two(capsys, argv):
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_hm_solve_nan_tail_start_exit_two(capsys):
+    code, out, err = _run(["hm-solve", "--s0", "nan"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tail start")
+
+
+def test_hm_step_zero_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hm_step = 0\n")
+    code, out, err = _run(["hm-solve", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: continuation step")
+
+
 def test_removed_cutoff_flag_exit_two(capsys):
     code, _, err = _run(["det", "--cutoff", "30"], capsys)
     assert code == 2

@@ -1,6 +1,10 @@
 """Quadrature rules and the block Nystrom determinant engine."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from ncairy import (
     nystrom_det_contour,
     spectral_radius,
 )
-from ncairy.fredholm import QuadratureRule
+from ncairy.fredholm import QuadratureRule, _interval_rule
 
 C_HERM = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
 C_REAL_SYM = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
@@ -47,6 +51,30 @@ def test_gauss_legendre_symmetry_and_bounds():
         assert np.all((rule.nodes > -1) & (rule.nodes < 1))
     with pytest.raises(DomainError):
         gauss_legendre(1)
+
+
+def test_gauss_legendre_built_once_and_read_only():
+    rule = gauss_legendre(37)
+    assert gauss_legendre(37) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    mapped = _interval_rule(37, -1.0, 1.0)
+    for arr, base in ((mapped.nodes, rule.nodes), (mapped.weights, rule.weights)):
+        assert not np.shares_memory(arr, base)
+        assert arr.flags.writeable
+
+
+def test_gauss_legendre_cache_fills_lazily():
+    # importing the package builds no rule; the first call builds one
+    code = ("import ncairy; a = ncairy.gauss_legendre.cache_info().currsize; "
+            "ncairy.gauss_legendre(40); print(a, ncairy.gauss_legendre.cache_info().currsize)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == ["0", "1"]
 
 
 def test_rank_one_determinant():

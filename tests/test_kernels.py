@@ -1,5 +1,7 @@
 """Kernel assembly: shift/coupling containers and the Airy-type kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from ncairy import (
     contour_kernel,
     contour_symbol,
     gauss_legendre,
+    half_line_rule,
+    kernels,
     matrix_airy_kernel,
     matrix_airy_sq_kernel,
     scalar_airy_kernel,
@@ -127,3 +131,92 @@ def test_shift_coupling_validation():
         ShiftVector(np.array([np.nan]))
     with pytest.raises(DomainError):
         CouplingMatrix(np.array([[1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_kernel_rejects_nonfinite(bad):
+    with pytest.raises(DomainError):
+        scalar_airy_kernel(bad, 0.5)
+    with pytest.raises(DomainError):
+        scalar_airy_kernel(np.array([0.5, 1.0]), np.array([[bad], [2.0]]))
+
+
+def _ai_kernel_ref(x, y, s, C):
+    """matrix_airy_kernel evaluated on every broadcast argument."""
+    ai, _ = ai_arrays((x + y)[..., None, None] + (s.s[:, None] + s.s[None, :]))
+    return C.entries * ai
+
+
+def _sq_kernel_ref(x, y, s, C):
+    """matrix_airy_sq_kernel with Airy evaluated on every broadcast argument pair."""
+    x, y = np.broadcast_arrays(x, y)
+    ss = s.s[:, None] + s.s[None, :]
+    a, b = np.broadcast_arrays((x[..., None, None] + ss)[..., :, None, :],
+                               (y[..., None, None] + ss)[..., None, :, :])
+    aa, aap = ai_arrays(a)
+    ba, bap = ai_arrays(b)
+    d = a - b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off = (aa * bap - aap * ba) / d
+    diag = aap * aap - a * aa * aa - 0.5 * (b - a) * aa * aa
+    k_ai = np.where(np.abs(d) < 1e-6, diag, off)
+    w = C.entries[:, None, :] * C.entries.T[None, :, :]
+    return np.sum(w * k_ai, axis=-1)
+
+
+_RNG = np.random.default_rng(20100)
+_DISTINCT_CASES = [
+    (np.array([0.3]), np.array([[0.8]])),
+    (np.array([0.1, -0.3]), np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])),
+    (np.array([0.25, 0.25]), np.array([[0.6, 0.2], [0.2, 0.5]])),      # repeated shift
+    (np.array([0.7, -0.2, 0.1]), _RNG.standard_normal((3, 3)) + 1j * _RNG.standard_normal((3, 3))),
+    (np.array([-0.5, 0.4, -0.5]), _RNG.standard_normal((3, 3))),        # repeated shift
+]
+
+
+@pytest.mark.parametrize("shifts,coupling", _DISTINCT_CASES,
+                         ids=["r1", "r2", "r2-repeated", "r3", "r3-repeated"])
+def test_kernels_bit_identical_to_broadcast_evaluation(shifts, coupling):
+    s = ShiftVector(shifts)
+    c = CouplingMatrix(coupling)
+    nodes = half_line_rule(40, 40.0).nodes
+    # the Nystrom block, and one whose x and y carry different values
+    for x, y in ((nodes[:, None], nodes[None, :]), (nodes[:, None], nodes[None, ::-2] - 3.0)):
+        for kernel, ref in ((matrix_airy_kernel, _ai_kernel_ref),
+                            (matrix_airy_sq_kernel, _sq_kernel_ref)):
+            got, want = kernel(x, y, s, c), ref(x, y, s, c)
+            assert got.shape == want.shape == (40, y.size, s.r, s.r)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_kernels_bit_identical_at_signed_zero():
+    # s = -0.0 keeps x + y + s_j + s_k = -0.0 where x + y = -0.0
+    s = ShiftVector(np.array([-0.0, 0.5]))
+    c = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
+    x = np.array([-0.0, 0.0, 0.5, 1.5])[:, None]
+    args = (x + x.T)[..., None, None] + (s.s[:, None] + s.s[None, :])
+    assert np.any((args == 0.0) & np.signbit(args)) and np.any((args == 0.0) & ~np.signbit(args))
+    for kernel, ref in ((matrix_airy_kernel, _ai_kernel_ref),
+                        (matrix_airy_sq_kernel, _sq_kernel_ref)):
+        assert kernel(x, x.T, s, c).tobytes() == ref(x, x.T, s, c).tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_kernel_blocks_make_one_airy_pass_on_distinct_arguments(r, monkeypatch):
+    calls = []
+    real = kernels.ai_arrays
+
+    def counting(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(kernels, "ai_arrays", counting)
+    s = ShiftVector(np.linspace(-0.4, 0.6, r))
+    c = CouplingMatrix(np.eye(r))
+    m, pairs = 40, r * (r + 1) // 2
+    nodes = half_line_rule(m, 40.0).nodes
+    matrix_airy_sq_kernel(nodes[:, None], nodes[None, :], s, c)
+    assert len(calls) == 1 and calls[0] <= m * pairs
+    calls.clear()
+    matrix_airy_kernel(nodes[:, None], nodes[None, :], s, c)
+    assert len(calls) == 1 and calls[0] <= m * (m + 1) // 2 * pairs

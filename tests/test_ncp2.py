@@ -8,6 +8,7 @@ import pytest
 
 from ncairy import (
     CouplingMatrix,
+    DomainError,
     HMGrid,
     PoleEncountered,
     ai_arrays,
@@ -116,6 +117,13 @@ def test_tail_start_snaps_up_past_one(m, s_tail):
     grid = hm_solve(c, [-m, m], S_min=2.5, cached=False)
     assert grid.S_tail >= 1.0 + m
     assert grid.S_tail == pytest.approx(s_tail, abs=1e-12)
+
+
+@pytest.mark.parametrize("kw", [{"s0": math.nan}, {"s0": math.inf}, {"h": 0.0},
+                                {"h": -1e-3}, {"h": math.nan}, {"h": 0.02}])
+def test_hm_solve_rejects_bad_start_and_step(kw):
+    with pytest.raises(DomainError):
+        hm_solve(C1, [0.0], cached=False, **kw)
 
 
 def test_zero_coupling_is_zero():
