@@ -227,12 +227,17 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
 
 
 def _n_steps(args) -> int:
-    """Number of --step intervals from --from to --to; all three must be finite."""
+    """Number of --step intervals from --from to --to; all three must be finite.
+
+    --to may equal --from (one row) but not lie below it.
+    """
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise DomainError("--step must be finite and positive")
     n = (args.xto - args.xfrom) / args.step
     if not math.isfinite(n):
         raise DomainError("--from and --to must be finite")
+    if n < 0.0:
+        raise DomainError("--to must not lie below --from")
     return int(round(n))
 
 

@@ -1,24 +1,27 @@
 """Matrix Painleve II in Hastings-McLeod normalization.
 
 The matrix unknown beta1(S) solves D^2 beta1 = 4{s, beta1} + 8 beta1^3 with
-s = diag(S + delta_j) and decays like -C o Ai at +infinity.  The tail is
-produced by Picard iteration on the equivalent integral equation, then
-continued leftward by fixed-step RK4.  Auxiliary quantities (alpha1, Lax
-matrices, residual diagnostics) are derived from the stored grid.
+s = diag(S + delta_j) and decays like -C o Ai at +infinity.  On the tail
+[S0, S0 + 8] it is the fixed point of the equivalent integral equation,
+iterated on the uniform grid S0 + k h, where the Green factor separates into
+Airy-Bi products and each sweep is two cumulative integrals.  From S0 the
+solution is continued leftward by RK4 with the same step, so the tail
+samples and the continuation form one uniform grid.  Auxiliary quantities
+(alpha1, Lax matrices, residual diagnostics) are derived from that grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+# ai_arrays is unused here, but perfbench/spans.py wraps ncp2.ai_arrays by name
 from .airy import ai_arrays, airy_arrays
 from .errors import (ConvergenceFailure, DomainError, NoContraction,
                      OutOfRange, PoleEncountered)
-from .fredholm import gauss_legendre
 from .kernels import CouplingMatrix, scalar_airy_kernel
 
 __all__ = [
@@ -45,26 +48,6 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _BLOWUP = 1e8
 
 
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    """Barycentric weights for arbitrary interpolation nodes."""
-    d = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(d, 1.0)
-    w = 1.0 / np.prod(d, axis=1)
-    return w / np.max(np.abs(w))
-
-
-def _bary_matrix(nodes: np.ndarray, bw: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Row-stochastic matrix P with (P f(nodes))[p] = interpolant at pts[p]."""
-    diff = pts[:, None] - nodes[None, :]
-    exact = np.abs(diff) < 1e-14
-    diff = np.where(exact, 1.0, diff)
-    terms = bw[None, :] / diff
-    p = terms / np.sum(terms, axis=1)[:, None]
-    hit = exact.any(axis=1)
-    p[hit] = exact[hit].astype(float)
-    return p
-
-
 def _matcube(b: np.ndarray) -> np.ndarray:
     """b @ b @ b along the last two axes."""
     return np.einsum("...ij,...jk,...kl->...il", b, b, b)
@@ -82,109 +65,69 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_step(h: float) -> None:
+    if not 0.0 < h <= 1e-2:   # NaN fails this test too
+        raise DomainError("continuation step must satisfy 0 < h <= 1e-2")
+
+
 @dataclass(frozen=True, eq=False)
 class PicardTail:
-    """Converged tail samples of (beta1, Dbeta1) on Gauss-Legendre nodes.
-
-    beta holds beta1 at the 64 nodes of [S0, S_max], S_max = S0 + 8; it is
-    None only on the seed tail that hm_tail_picard iterates with.
-    """
+    """The converged tail: beta1 and Dbeta1 at the nodes S0 + k h of [S0, S0 + 8]."""
 
     C: CouplingMatrix
     delta: np.ndarray
     S0: float
-    beta: np.ndarray | None
+    h: float
+    beta: np.ndarray
+    dbeta: np.ndarray
     sweeps: int
-    final_change: float
-
-    @property
-    def S_max(self) -> float:
-        return self.S0 + 8.0
-
-    @property
-    def _sub_nodes(self) -> np.ndarray:
-        return gauss_legendre(64).nodes
-
-    @property
-    def _sub_weights(self) -> np.ndarray:
-        return gauss_legendre(64).weights
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return self.S0 + 0.5 * (self.S_max - self.S0) * (self._sub_nodes + 1.0)
-
-    @cached_property
-    def _bw(self) -> np.ndarray:
-        return _bary_weights(self.nodes)
-
-    def _offsets(self) -> np.ndarray:
-        return self.delta[:, None] + self.delta[None, :]
-
-    def _u(self, s_pts: np.ndarray) -> np.ndarray:
-        a = 2.0 * s_pts[:, None, None] + self._offsets()
-        ai, _ = ai_arrays(a)
-        return -self.C.entries * ai
-
-    def _du(self, s_pts: np.ndarray) -> np.ndarray:
-        a = 2.0 * s_pts[:, None, None] + self._offsets()
-        _, aip = ai_arrays(a)
-        return -2.0 * self.C.entries * aip
-
-    def _integral(self, s_pts: np.ndarray, beta_nodes: np.ndarray, deriv: bool) -> np.ndarray:
-        """4 pi int_S^{S_max} G(S, t) o beta^3(t) dt at each S in s_pts.
-
-        With deriv=True uses d/dS of the Green factor (chain factor 2); the
-        boundary term vanishes since G(S, S) = 0.
-        """
-        half = 0.5 * (self.S_max - s_pts)
-        t = s_pts[:, None] + half[:, None] * (self._sub_nodes[None, :] + 1.0)
-        wt = half[:, None] * self._sub_weights[None, :]
-        p = _bary_matrix(self.nodes, self._bw, t.ravel())
-        b_t = np.einsum("pm,mij->pij", p, beta_nodes).reshape(t.shape + self.C.entries.shape)
-        b3 = _matcube(b_t)
-        a = self._offsets()
-        # scaled values (Ai times e^{zeta}, Bi times e^{-zeta}) and one exp per
-        # Ai-Bi product keep the Green factor free of intermediate overflow
-        ai_s, aip_s, bi_s, bip_s, z_s = airy_arrays(2.0 * s_pts[:, None, None, None] + a)
-        ai_t, _, bi_t, _, z_t = airy_arrays(2.0 * t[:, :, None, None] + a)
-        if deriv:
-            g = 2.0 * (aip_s * bi_t * np.exp(z_t - z_s) - ai_t * bip_s * np.exp(z_s - z_t))
-        else:
-            g = ai_s * bi_t * np.exp(z_t - z_s) - ai_t * bi_s * np.exp(z_s - z_t)
-        return 4.0 * math.pi * np.einsum("pt,ptij,ptij->pij", wt, g, b3)
-
-    def beta1_at(self, s_pts) -> np.ndarray:
-        s_pts = np.atleast_1d(np.asarray(s_pts, dtype=float))
-        return self._u(s_pts) + self._integral(s_pts, self.beta, deriv=False)
-
-    def dbeta1_at(self, s_pts) -> np.ndarray:
-        s_pts = np.atleast_1d(np.asarray(s_pts, dtype=float))
-        return self._du(s_pts) + self._integral(s_pts, self.beta, deriv=True)
 
 
-def hm_tail_picard(C: CouplingMatrix, delta, S0: float) -> PicardTail:
-    """Fixed-point solve of the tail integral equation on [S0, S0 + 8].
+def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> PicardTail:
+    """Fixed-point solve of the tail integral equation on the h-grid of [S0, S0 + 8].
 
-    Starts from the pure Airy seed on 64 Gauss-Legendre nodes and iterates
-    until the sup-norm change drops below 1e-12, for at most 200 sweeps.
-    Raises NoContraction if the change grows for three consecutive sweeps
-    (S0 too far left).
+    With a = delta_j + delta_k the Green factor separates, and the equation
+    reads, entrywise in (j, k),
+        beta(S) = u(S) + 4 pi [Ai(2S+a) int_S Bi(2t+a) beta^3 dt
+                               - Bi(2S+a) int_S Ai(2t+a) beta^3 dt],
+    u = -C o Ai(2S+a), with the integrals running to S0 + 8.  So one sweep is
+    two reverse-cumulative integrals over the whole grid, and one Airy pass
+    serves every sweep.  Sweeps start from u and stop when one changes
+    nothing, or when the change is below 1e-13 and no longer falls (a
+    rounding-level cycle).  Dbeta1 is the exact derivative of the last
+    sweep's output.  Raises NoContraction if the change grows for three
+    consecutive sweeps (S0 too far left), ConvergenceFailure after 200.
     """
+    _check_step(h)
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     if S0 < 1.0 + m:
         raise DomainError("tail start S0 must satisfy S0 >= 1 + max|delta|")
-    tail = PicardTail(C, delta, S0, None, 0, math.inf)
-    nodes = tail.nodes
-    beta = tail._u(nodes)
+    s = S0 + h * np.arange(round(8.0 / h) + 1)
+    a = delta[:, None] + delta[None, :]
+    # scaled values (Ai times e^{zeta}, Bi times e^{-zeta}), unscaled once
+    ai_s, aip_s, bi_s, bip_s, z = airy_arrays(2.0 * s[:, None, None] + a)
+    with np.errstate(under="ignore"):
+        ai = ai_s * np.exp(-z)
+        aip = aip_s * np.exp(-z)
+        bi = bi_s * np.exp(z)
+        bip = bip_s * np.exp(z)
+    u = -C.entries * ai
+    four_pi = 4.0 * math.pi
+    beta = u
     prev_change = math.inf
     grow_streak = 0
     for sweep in range(1, 201):
-        new = tail._u(nodes) + tail._integral(nodes, beta, deriv=False)
+        b3 = _matcube(beta)
+        f_bi = _reverse_cumulative(bi * b3, h, np.zeros(a.shape))
+        f_ai = _reverse_cumulative(ai * b3, h, np.zeros(a.shape))
+        new = u + four_pi * (ai * f_bi - bi * f_ai)
         change = float(np.max(np.abs(new - beta)))
         beta = new
-        if change <= 1e-12:
-            return replace(tail, beta=beta, sweeps=sweep, final_change=change)
+        if change == 0.0 or (change <= 1e-13 and change >= prev_change):
+            # d/dS of the sweep: the terms from the integrals' limits cancel
+            dbeta = -2.0 * C.entries * aip + 2.0 * four_pi * (aip * f_bi - bip * f_ai)
+            return PicardTail(C, delta, S0, h, beta, dbeta, sweep)
         if change > prev_change:
             grow_streak += 1
             if grow_streak >= 3:
@@ -347,68 +290,26 @@ def _rk4_step(S: float, b: np.ndarray, db: np.ndarray, step: float, delta: np.nd
     return bn, dbn
 
 
-def _fill_uniform_tail(tail: PicardTail, s_up: np.ndarray, h: float):
-    """Resample the converged tail on a uniform grid.
-
-    Uses the separable form of the Green factor: the integral equation
-    becomes Ai(2S+a) * int_S Bi(2t+a) b^3 dt - Bi(2S+a) * int_S Ai(2t+a) b^3 dt,
-    so two reverse-cumulative integrals cover every grid point at once.
-    The interpolated Picard iterate seeds one or two polishing sweeps.
-    """
-    a = tail._offsets()
-    args = 2.0 * s_up[:, None, None] + a
-    ai_s, aip_s, bi_s, bip_s, z = airy_arrays(args)
-    with np.errstate(under="ignore"):
-        ai = ai_s * np.exp(-z)
-        aip = aip_s * np.exp(-z)
-        bi = bi_s * np.exp(z)
-        bip = bip_s * np.exp(z)
-    u = -tail.C.entries * ai
-    du = -2.0 * tail.C.entries * aip
-    p = _bary_matrix(tail.nodes, tail._bw, s_up)
-    b = np.einsum("pm,mij->pij", p, tail.beta)
-    four_pi = 4.0 * math.pi
-    prev = None
-    for _ in range(20):
-        b3 = _matcube(b)
-        f_bi = _reverse_cumulative(bi * b3, h, np.zeros(a.shape))
-        f_ai = _reverse_cumulative(ai * b3, h, np.zeros(a.shape))
-        new = u + four_pi * (ai * f_bi - bi * f_ai)
-        change = float(np.max(np.abs(new - b)))
-        b = new
-        if prev is not None and change <= 1e-13:
-            break
-        prev = change
-    b3 = _matcube(b)
-    f_bi = _reverse_cumulative(bi * b3, h, np.zeros(a.shape))
-    f_ai = _reverse_cumulative(ai * b3, h, np.zeros(a.shape))
-    db = du + 2.0 * four_pi * (aip * f_bi - bip * f_ai)
-    return b, db
-
-
 def _blown(b: np.ndarray) -> bool:
     # one reduction: a nan or inf maximum fails the comparison too
     return not (np.abs(b).max() <= _BLOWUP)
 
 
-def hm_continue(tail: PicardTail, S_min: float, h: float = 1e-3) -> HMGrid:
-    """Continue the tail solution leftward by fixed-step RK4.
+def hm_continue(tail: PicardTail, S_min: float) -> HMGrid:
+    """Continue the tail solution leftward by RK4 with the tail's step h.
 
-    The tail's samples populate the grid above its start S0.  On blow-up
-    the pole is bracketed to h/16 and PoleEncountered is raised with the
-    valid grid attached.
+    The tail's samples populate the grid from its start S0 up.  On blow-up
+    (|beta1| past 1e8) the last step is halved four times, and
+    PoleEncountered is raised with pole_at and the valid grid attached.
+    pole_at marks where the RK4 trajectory blows up, which is first-order
+    accurate in h: for c = 1.2 it reads -1.14503 at h = 1e-3, against the
+    true pole at -1.1443185.
     """
-    delta = tail.delta
-    if h > 1e-2:
-        raise DomainError("continuation step must satisfy h <= 1e-2")
-    s0 = tail.S0
-    n_up = int(round((tail.S_max - s0) / h))
-    s_up = s0 + h * np.arange(n_up + 1)
-    b_up, db_up = _fill_uniform_tail(tail, s_up, h)
-    b0, db0 = b_up[0], db_up[0]
+    delta, h, s0 = tail.delta, tail.h, tail.S0
+    s_up = s0 + h * np.arange(tail.beta.shape[0])
     n_down = int(round((s0 - S_min) / h))
     s_list, b_list, db_list = [], [], []
-    b, db = b0, db0
+    b, db = tail.beta[0], tail.dbeta[0]
     pole_at = None
     for i in range(n_down):
         s_cur = s0 - i * h
@@ -434,8 +335,9 @@ def hm_continue(tail: PicardTail, S_min: float, h: float = 1e-3) -> HMGrid:
         db_list.append(db)
     s_down = np.array(s_list[::-1])
     s_all = np.concatenate([s_down, s_up])
-    b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *b0.shape), b_up])
-    db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *b0.shape), db_up])
+    shape = tail.beta.shape[1:]
+    b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *shape), tail.beta])
+    db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *shape), tail.dbeta])
     grid = HMGrid(tail.C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
     if pole_at is not None:
         err = PoleEncountered(pole_at)
@@ -475,8 +377,7 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     """
     if not math.isfinite(s0):
         raise DomainError("tail start s0 must be finite")
-    if not 0.0 < h <= 1e-2:   # NaN fails this test too
-        raise DomainError("continuation step must satisfy 0 < h <= 1e-2")
+    _check_step(h)
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
     s0 = max(s0, 1.0 + m)
@@ -499,8 +400,8 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     last_exc = None
     for attempt in range(5):
         try:
-            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt)
-            grid = hm_continue(tail, S_min, h)
+            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt, h)
+            grid = hm_continue(tail, S_min)
             if cached:
                 _cache_put(key, grid)
             return grid

@@ -308,17 +308,16 @@ def check_picard_ode_seam(rng) -> tuple[bool, str]:
     t0 = hm_tail_picard(_C1, [0.0], 2.0)
     t1 = hm_tail_picard(_C1, [0.0], 3.0)
     # step the S0'=3 tail down to S0=2 with RK4 and compare
-    b = t1.beta1_at(np.asarray([3.0]))[0]
-    db = t1.dbeta1_at(np.asarray([3.0]))[0]
+    b, db = t1.beta[0], t1.dbeta[0]
     h = 1e-3
     s_cur = 3.0
     for _ in range(1000):
         b, db = _rk4_step(s_cur, b, db, -h, np.array([0.0]))
         s_cur -= h
-    ref = t0.beta1_at(np.asarray([2.0]))[0]
+    ref = t0.beta[0]
     err = float(np.max(np.abs(b - ref)))
-    # 1.4e-14 on sound code; a wrong sign in the Green factor's exponent
-    # moves the S0=2 tail by 4e-8 relative and the mismatch to 1e-10
+    # 1.4e-14 on sound code; a wrong sign on the Green term of the tail
+    # sweep moves the mismatch to 9.5e-11
     return err <= 1e-12, f"seam mismatch {err:.3e}"
 
 

@@ -159,6 +159,24 @@ def test_table_step_exit_two(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["f1", "--from", "1", "--to", "0"],
+    ["f2", "--from", "1", "--to", "0"],
+    ["hm-solve", "--from", "3", "--to", "1"],
+    ["scan", "--coupling", "0.9", "--from", "0", "--to", "-1"],
+], ids=["f1", "f2", "hm-solve", "scan"])
+def test_table_reversed_range_exit_two(capsys, argv):
+    code, out, err = _run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --to")
+
+
+def test_table_equal_range_one_row(capsys):
+    code, out, _ = _run(["f2", "--from", "0", "--to", "0"], capsys)
+    assert code == 0
+    assert out.splitlines()[1:] == ["0.000000000000e+00,9.693728283554e-01"]
+
+
 def test_hm_solve_nan_tail_start_exit_two(capsys):
     code, out, err = _run(["hm-solve", "--s0", "nan"], capsys)
     assert code == 2 and out == ""

@@ -11,6 +11,7 @@ from ncairy import (
     DomainError,
     HMGrid,
     PoleEncountered,
+    ShiftVector,
     ai_arrays,
     airy_eval,
     alpha1,
@@ -24,7 +25,7 @@ from ncairy import (
 )
 from ncairy import ncp2
 from ncairy.airy import airy_arrays
-from ncairy.ncp2 import _bary_matrix, _blown, _matcube, _rk4_step
+from ncairy.ncp2 import _blown, _matcube, _reverse_cumulative, _rk4_step
 
 C1 = CouplingMatrix(np.array([[1.0]]))
 C2 = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
@@ -97,15 +98,65 @@ def test_hermiticity(grid2):
 def test_picard_ode_seam():
     t0 = hm_tail_picard(C1, [0.0], 2.0)
     t1 = hm_tail_picard(C1, [0.0], 3.0)
-    b = t1.beta1_at(np.asarray([3.0]))[0]
-    db = t1.dbeta1_at(np.asarray([3.0]))[0]
+    b, db = t1.beta[0], t1.dbeta[0]
     h = 1e-3
     s_cur = 3.0
     for _ in range(1000):
         b, db = _rk4_step(s_cur, b, db, -h, np.array([0.0]))
         s_cur -= h
-    ref = t0.beta1_at(np.asarray([2.0]))[0]
+    ref = t0.beta[0]
     assert float(np.max(np.abs(b - ref))) <= 1e-9
+
+
+def test_tail_solve_makes_one_airy_pass(monkeypatch):
+    calls = []
+    real = ncp2.airy_arrays
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return real(x)
+
+    monkeypatch.setattr(ncp2, "airy_arrays", counting)
+    tail = hm_tail_picard(C2, D2, 2.0)
+    assert tail.sweeps >= 2
+    assert calls == [(8001, 2, 2)]
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, 0.02])
+def test_tail_solve_rejects_bad_step(h):
+    with pytest.raises(DomainError):
+        hm_tail_picard(C1, [0.0], 2.0, h)
+
+
+def _tail_sweep(grid: HMGrid, b: np.ndarray) -> np.ndarray:
+    """One sweep of the tail integral equation over the grid nodes from S_tail up.
+
+    b(S) -> u + 4 pi [Ai(2S+a) int_S Bi(2t+a) b^3 dt - Bi(2S+a) int_S Ai(2t+a) b^3 dt].
+    """
+    s = grid.S_values[grid.index_of(grid.S_tail):]
+    a = grid.delta[:, None] + grid.delta[None, :]
+    ai_s, _, bi_s, _, z = airy_arrays(2.0 * s[:, None, None] + a)
+    with np.errstate(under="ignore"):
+        ai = ai_s * np.exp(-z)
+        bi = bi_s * np.exp(z)
+    b3 = _matcube(b)
+    f_bi = _reverse_cumulative(bi * b3, grid.h, np.zeros(a.shape))
+    f_ai = _reverse_cumulative(ai * b3, grid.h, np.zeros(a.shape))
+    return -grid.C.entries * ai + 4.0 * math.pi * (ai * f_bi - bi * f_ai)
+
+
+@pytest.mark.parametrize("c,shifts", [
+    (C1, [0.0]),
+    (C2, D2),
+    # the complex r = 3 case of test_tw's PAINLEVE_CASES
+    (CouplingMatrix(np.array([[0.5, 0.1, 0.05j], [0.1, 0.4, 0.2], [-0.05j, 0.2, 0.3]])),
+     [-0.2, 0.0, 0.4]),
+])
+def test_tail_is_exact_fixed_point(c, shifts):
+    # the solved tail samples are the floating-point fixed point of the sweep
+    grid = hm_solve(c, ShiftVector(np.array(shifts)).delta, S_min=2.0, cached=False)
+    b = grid.beta1[grid.index_of(grid.S_tail):]
+    assert _tail_sweep(grid, b).tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("m,s_tail", [(0.0, 2.0), (1.0004, 2.001), (1.0006, 2.001),
@@ -356,56 +407,3 @@ def test_blown_flags_nonfinite_and_large():
         b = ok.copy()
         b[1, 0] = bad
         assert _blown(b), bad
-
-
-def _aibi(x, y):
-    ai_s, _, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
-    _, _, bi_s, _, zy = airy_arrays(np.asarray(y, dtype=float))
-    return ai_s * bi_s * np.exp(zy - zx)
-
-
-def _aipbi(x, y):
-    _, aip_s, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
-    _, _, bi_s, _, zy = airy_arrays(np.asarray(y, dtype=float))
-    return aip_s * bi_s * np.exp(zy - zx)
-
-
-def _aibip(x, y):
-    ai_s, _, _, _, zx = airy_arrays(np.asarray(x, dtype=float))
-    _, _, _, bip_s, zy = airy_arrays(np.asarray(y, dtype=float))
-    return ai_s * bip_s * np.exp(zy - zx)
-
-
-def _integral_with_product_helpers(tail, s_pts, beta_nodes, deriv):
-    """PicardTail._integral as written with one Airy evaluation per product."""
-    half = 0.5 * (tail.S_max - s_pts)
-    t = s_pts[:, None] + half[:, None] * (tail._sub_nodes[None, :] + 1.0)
-    wt = half[:, None] * tail._sub_weights[None, :]
-    p = _bary_matrix(tail.nodes, tail._bw, t.ravel())
-    b_t = np.einsum("pm,mij->pij", p, beta_nodes).reshape(t.shape + tail.C.entries.shape)
-    b3 = _matcube(b_t)
-    a = tail._offsets()
-    x_s = 2.0 * s_pts[:, None, None, None] + a
-    x_t = 2.0 * t[:, :, None, None] + a
-    if deriv:
-        g = 2.0 * (_aipbi(x_s, x_t) - _aibip(x_t, x_s))
-    else:
-        g = _aibi(x_s, x_t) - _aibi(x_t, x_s)
-    return 4.0 * math.pi * np.einsum("pt,ptij,ptij->pij", wt, g, b3)
-
-
-@pytest.mark.parametrize("deriv", [False, True])
-@pytest.mark.parametrize("c,delta", [
-    (C1, [0.0]),
-    (C2, D2),
-    (CouplingMatrix(np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.1j], [0.05, -0.1j, 0.3]])),
-     [0.1, -0.2, 0.1]),
-])
-def test_picard_integral_matches_product_helpers(c, delta, deriv):
-    # one Airy pass per argument array gives the same bits as evaluating
-    # each Airy-Bi product separately
-    tail = hm_tail_picard(c, delta, 2.0)
-    s_pts = np.concatenate([tail.nodes, [2.0, 2.5, 7.0]])
-    got = tail._integral(s_pts, tail.beta, deriv)
-    ref = _integral_with_product_helpers(tail, s_pts, tail.beta, deriv)
-    assert got.tobytes() == ref.tobytes()

@@ -40,7 +40,8 @@ def test_tracer_installs_on_live_package():
         tracer.install_counters()
         tracer.install_spans()
         tracer.set_spans(True)
-        grid = lib.hm_solve(lib.CouplingMatrix(np.array([[0.5]])), [0.0], S_min=2.5,
+        # S_min below the tail start, so the continuation takes RK4 steps
+        grid = lib.hm_solve(lib.CouplingMatrix(np.array([[0.5]])), [0.0], S_min=1.5,
                             cached=False)
         grid.int_beta_sq(3.0)
         # one half-line and one contour determinant: spans.py binds their arguments
@@ -54,6 +55,8 @@ def test_tracer_installs_on_live_package():
     assert {"ncp2.solve", "ncp2.picard", "ncp2.continue", "ncp2.query", "fredholm"} <= names
     picard = next(s for s in tracer.spans if s.name == "ncp2.picard")
     assert picard.attrs["sweeps"] > 0
+    cont = next(s for s in tracer.spans if s.name == "ncp2.continue")
+    assert cont.attrs["rk4_steps"] > 0
     dets = [s for s in tracer.spans if s.name == "fredholm"]
     assert [d.fn for d in dets] == ["nystrom_det", "nystrom_det_contour"]
     assert all(d.attrs["passes"] >= 2 and d.attrs["nodes"] > 0 for d in dets)

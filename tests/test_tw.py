@@ -236,9 +236,9 @@ PAINLEVE_GOLDENS = {
     2: (("0x1.f8a21baae509cp-1", "0x1.040b05f9200b0p-79"),
         ("0x1.24e32df887ffap+0", "-0x1.9559d0725e6a7p-77"),
         ("0x1.b913e3cab28ffp-1", "0x1.6a0b76d260cf6p-77")),
-    3: (("0x1.f369952db00e3p-1", "0x1.aa53960a93692p-76"),
-        ("0x1.3823ef3fa21b6p+0", "0x1.550444db01828p-77"),
-        ("0x1.99970c17f6ef5p-1", "0x1.db8eb0abb2f0cp-77")),
+    3: (("0x1.f369952db00e3p-1", "0x1.aa53960a93c83p-76"),
+        ("0x1.3823ef3fa21b6p+0", "0x1.550444daf41d7p-77"),
+        ("0x1.99970c17f6ef5p-1", "0x1.db8eb0abbc56ap-77")),
 }
 # x -> (F2, F1, u)
 SCALAR_GOLDENS = {
