@@ -1,9 +1,8 @@
 """Fredholm determinants of matrix Airy convolution operators and matrix Painleve II/XXXIV."""
 
-from .airy import AiryEval, ai_arrays, airy_arrays, airy_eval, airy_scaled
+from .airy import ai_arrays, airy_arrays
 from .errors import (
     ConvergenceFailure,
-    DivisionByZero,
     DomainError,
     NcairyError,
     NoContraction,
@@ -24,7 +23,6 @@ from .fredholm import (
 from .kernels import (
     CouplingMatrix,
     ShiftVector,
-    contour_kernel,
     contour_symbol,
     matrix_airy_kernel,
     matrix_airy_sq_kernel,
@@ -35,7 +33,6 @@ from .ncp2 import (
     LaxPair,
     PicardTail,
     alpha1,
-    beta2,
     hm_continue,
     hm_solve,
     hm_tail_picard,
@@ -68,15 +65,15 @@ from .tw import (
 )
 
 __all__ = [
-    "AiryEval", "airy_eval", "airy_scaled", "airy_arrays", "ai_arrays",
-    "NcairyError", "DomainError", "OverflowRisk", "DivisionByZero",
+    "airy_arrays", "ai_arrays",
+    "NcairyError", "DomainError", "OverflowRisk",
     "ConvergenceFailure", "NoContraction", "OutOfRange", "PoleEncountered",
     "ShiftVector", "CouplingMatrix", "matrix_airy_kernel", "scalar_airy_kernel",
-    "matrix_airy_sq_kernel", "contour_symbol", "contour_kernel",
+    "matrix_airy_sq_kernel", "contour_symbol",
     "QuadratureRule", "DetResult", "gauss_legendre", "half_line_rule",
     "half_line_cutoff", "nystrom_det", "nystrom_det_contour", "spectral_radius",
     "PicardTail", "HMGrid", "LaxPair", "hm_tail_picard", "hm_continue",
-    "hm_solve", "alpha1", "beta2", "ncp2_residual", "lax_matrices",
+    "hm_solve", "alpha1", "ncp2_residual", "lax_matrices",
     "zero_curvature_residual_p2",
     "P34State", "p34_state", "p34_residual", "lax_b", "vd_at",
     "zero_curvature_residual_p34",

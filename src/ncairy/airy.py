@@ -20,23 +20,18 @@ truncation error at x = 4.5 is ~3e-6 relative), hence the anchor ladders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OverflowRisk
+from .errors import DomainError
 
-__all__ = ["AiryEval", "airy_eval", "airy_scaled", "airy_arrays", "ai_arrays"]
+__all__ = ["airy_arrays", "ai_arrays"]
 
 # Ai(0) = 3^(-2/3)/Gamma(2/3), -Ai'(0) = 3^(-1/3)/Gamma(1/3)
 _C1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
 _C2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
 _SQRT3 = math.sqrt(3.0)
 _SQRTPI = math.sqrt(math.pi)
-
-# unscaled Bi overflows once zeta = (2/3) x^(3/2) passes the exp() range
-_BI_OVERFLOW_X = (709.0 * 1.5) ** (2.0 / 3.0)  # ~104.4
-_X_LIMIT = 200.0
 
 _SEAM_NEG_ASY = -9.5
 _SEAM_NEG_SERIES = -4.5
@@ -45,23 +40,6 @@ _SEAM_POS_ASY = 9.5
 
 _ANCHOR_STEP = 0.25
 _TAYLOR_TERMS = 26
-
-
-@dataclass(frozen=True)
-class AiryEval:
-    """Bundled Airy values at a real point.
-
-    When ``scaled`` is set, ``ai``/``aip`` carry a factor e^{+zeta} and
-    ``bi``/``bip`` carry e^{-zeta}, with zeta = (2/3) max(x, 0)^{3/2}.
-    """
-
-    x: float
-    ai: float
-    aip: float
-    bi: float
-    bip: float
-    zeta: float
-    scaled: bool = False
 
 
 def _asy_u_v(nmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,48 +260,3 @@ def ai_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         e = np.exp(-zeta)
     return ai_s * e, aip_s * e
 
-
-def _check_finite(x: float) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"Airy argument must be finite, got {x}")
-    return x
-
-
-def airy_eval(x: float) -> AiryEval:
-    """Unscaled Ai, Ai', Bi, Bi' at a real point."""
-    x = _check_finite(x)
-    if abs(x) > _X_LIMIT:
-        raise DomainError(f"|x| = {abs(x):.3g} exceeds the supported range {_X_LIMIT:g}")
-    if x > _BI_OVERFLOW_X:
-        raise OverflowRisk(f"unscaled Bi({x:g}) exceeds the double-precision range")
-    ai_s, aip_s, bi_s, bip_s, zeta = airy_arrays(np.asarray([x]))
-    z = float(zeta[0])
-    with np.errstate(under="ignore"):
-        em, ep = math.exp(-z), math.exp(z)
-    return AiryEval(
-        x=x,
-        ai=float(ai_s[0]) * em,
-        aip=float(aip_s[0]) * em,
-        bi=float(bi_s[0]) * ep,
-        bip=float(bip_s[0]) * ep,
-        zeta=z,
-        scaled=False,
-    )
-
-
-def airy_scaled(x: float) -> AiryEval:
-    """Scaled Airy values; for x < 0 falls back to unscaled with zeta = 0."""
-    x = _check_finite(x)
-    if x < 0.0:
-        return airy_eval(x)
-    ai_s, aip_s, bi_s, bip_s, zeta = airy_arrays(np.asarray([x]))
-    return AiryEval(
-        x=x,
-        ai=float(ai_s[0]),
-        aip=float(aip_s[0]),
-        bi=float(bi_s[0]),
-        bip=float(bip_s[0]),
-        zeta=float(zeta[0]),
-        scaled=True,
-    )

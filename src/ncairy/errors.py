@@ -13,10 +13,6 @@ class OverflowRisk(NcairyError):
     """The requested unscaled quantity would exceed the double-precision range."""
 
 
-class DivisionByZero(NcairyError):
-    """A kernel denominator is numerically zero."""
-
-
 class ConvergenceFailure(NcairyError):
     """An iterative procedure exhausted its budget without converging."""
 

@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
-from .kernels import CouplingMatrix, ShiftVector, contour_symbol, power_iteration
+from .kernels import CouplingMatrix, ShiftVector, contour_symbol
 
 __all__ = [
     "QuadratureRule",
@@ -217,18 +217,41 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
     invariant under this similarity of the weighted block matrix.  Refinement
     doubles the nodes on each of the two rays.
     """
-    r = s.r
-
     def det_at(mpr):
         lam, w = _contour_nodes(mpr)
         e1, e2 = contour_symbol(lam, s, C)
-        denom = lam[:, None] + lam[None, :]
-        kmat = np.einsum("ial,jak->ijlk", e1, e2) / denom[:, :, None, None]
-        kmat = kmat * w[None, :, None, None]
-        big = kmat.transpose(0, 2, 1, 3).reshape(lam.size * r, lam.size * r)
-        return _lu_logdet(np.eye(lam.size * r, dtype=complex) + z * big)
+
+        def kernel(x, y):
+            # K(lam_i, lam_j) = E1^T(lam_i) E2(lam_j) / (lam_i + lam_j) at the nodes
+            return np.einsum("ial,jak->ijlk", e1, e2) / (x + y)[:, :, None, None]
+
+        return _lu_logdet(_assemble_block(kernel, s.r, z, lam, w, split=False))
 
     return _refine(det_at, m_per_ray, 2, refine, tol)
+
+
+def power_iteration(a: np.ndarray, seed: int, tol: float) -> float:
+    """Largest |Rayleigh quotient| of a square matrix by power iteration.
+
+    Starts from a seeded complex Gaussian vector and stops when the quotient
+    changes by at most tol * max(1, quotient); raises ConvergenceFailure when
+    10000 sweeps do not get there.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(10000):
+        w = a @ v
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v_new = w / nw
+        lam_new = abs(np.vdot(v_new, a @ v_new))
+        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
+            return float(lam_new)
+        lam, v = lam_new, v_new
+    raise ConvergenceFailure("power iteration exhausted its budget")
 
 
 def spectral_radius(kernel, r: int, rule: QuadratureRule) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .airy import ai_arrays
-from .errors import ConvergenceFailure, DivisionByZero, DomainError, OverflowRisk
+from .errors import DomainError, OverflowRisk
 
 __all__ = [
     "ShiftVector",
@@ -22,7 +22,6 @@ __all__ = [
     "scalar_airy_kernel",
     "matrix_airy_sq_kernel",
     "contour_symbol",
-    "contour_kernel",
 ]
 
 _EXP_GUARD = 700.0  # double exp() overflows near 709
@@ -51,43 +50,12 @@ class ShiftVector:
     def r(self) -> int:
         return self.s.size
 
-    def diag(self) -> np.ndarray:
-        """The diagonal matrix diag(s_1, ..., s_r)."""
-        return np.diag(self.s).astype(complex)
-
-
-def power_iteration(a: np.ndarray, seed: int, tol: float) -> float:
-    """Largest |Rayleigh quotient| of a square matrix by power iteration.
-
-    Starts from a seeded complex Gaussian vector and stops when the quotient
-    changes by at most tol * max(1, quotient); raises ConvergenceFailure when
-    10000 sweeps do not get there.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10000):
-        w = a @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = abs(np.vdot(v_new, a @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            return float(lam_new)
-        lam, v = lam_new, v_new
-    raise ConvergenceFailure("power iteration exhausted its budget")
-
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """The r x r complex coupling matrix C with structure flags and sigma_max."""
+    """The r x r complex coupling matrix C."""
 
     entries: np.ndarray
-    is_real: bool = field(init=False)
-    is_hermitean: bool = field(init=False)
-    sigma_max: float = field(init=False)
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.entries, dtype=complex))
@@ -96,21 +64,10 @@ class CouplingMatrix:
         if not np.all(np.isfinite(c)):
             raise DomainError("coupling entries must be finite")
         object.__setattr__(self, "entries", c)
-        scale = max(1.0, float(np.max(np.abs(c))))
-        object.__setattr__(self, "is_real", bool(np.max(np.abs(c.imag)) <= 1e-14 * scale))
-        object.__setattr__(
-            self, "is_hermitean", bool(np.max(np.abs(c - c.conj().T)) <= 1e-14 * scale)
-        )
-        object.__setattr__(self, "sigma_max", float(np.linalg.svd(c, compute_uv=False)[0]) if c.size else 0.0)
 
     @property
     def r(self) -> int:
         return self.entries.shape[0]
-
-    def sigma_max_crosscheck(self) -> float:
-        """Independent power-iteration estimate of sigma_max (on C^dagger C)."""
-        c = self.entries
-        return math.sqrt(power_iteration(c.conj().T @ c, 12345, 1e-12))
 
     def negated(self) -> "CouplingMatrix":
         return CouplingMatrix(-self.entries)
@@ -210,15 +167,3 @@ def contour_symbol(lam, s: ShiftVector, C: CouplingMatrix) -> tuple[np.ndarray, 
     e1 = (-1.0 / (2j * math.pi)) * (e2 @ C.entries)
     return e1, e2
 
-
-def contour_kernel(lam, mu, s: ShiftVector, C: CouplingMatrix) -> np.ndarray:
-    """K(lam, mu) = E1^T(lam) E2(mu) / (lam + mu)."""
-    lam_c = complex(lam) if np.ndim(lam) == 0 else np.asarray(lam, dtype=complex)
-    mu_c = complex(mu) if np.ndim(mu) == 0 else np.asarray(mu, dtype=complex)
-    denom = np.asarray(lam_c + mu_c)
-    if np.any(np.abs(denom) < 1e-14):
-        raise DivisionByZero("lambda + mu is numerically zero")
-    e1_l, _ = contour_symbol(lam, s, C)
-    _, e2_m = contour_symbol(mu, s, C)
-    num = np.swapaxes(e1_l, -1, -2) @ e2_m
-    return num / denom[..., None, None]

@@ -32,7 +32,6 @@ __all__ = [
     "hm_continue",
     "hm_solve",
     "alpha1",
-    "beta2",
     "ncp2_residual",
     "lax_matrices",
     "zero_curvature_residual_p2",
@@ -96,7 +95,8 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> Pica
     nothing, or when the change is below 1e-13 and no longer falls (a
     rounding-level cycle).  Dbeta1 is the exact derivative of the last
     sweep's output.  Raises NoContraction if the change grows for three
-    consecutive sweeps (S0 too far left), ConvergenceFailure after 200.
+    consecutive sweeps (S0 too far left), ConvergenceFailure after 200, and
+    DomainError if Bi or Bi' overflows on the grid (S0 above about 44).
     """
     _check_step(h)
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -107,11 +107,14 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> Pica
     a = delta[:, None] + delta[None, :]
     # scaled values (Ai times e^{zeta}, Bi times e^{-zeta}), unscaled once
     ai_s, aip_s, bi_s, bip_s, z = airy_arrays(2.0 * s[:, None, None] + a)
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):
         ai = ai_s * np.exp(-z)
         aip = aip_s * np.exp(-z)
         bi = bi_s * np.exp(z)
         bip = bip_s * np.exp(z)
+    if not (np.isfinite(bi).all() and np.isfinite(bip).all()):
+        raise DomainError(f"tail start S0 = {S0:g} too large: Bi overflows on "
+                          "[S0, S0 + 8]; lower the tail start")
     u = -C.entries * ai
     four_pi = 4.0 * math.pi
     beta = u
@@ -421,11 +424,6 @@ def alpha1(grid: HMGrid, S: float) -> np.ndarray:
     return 2.0j * grid.int_beta_sq(S)
 
 
-def beta2(grid: HMGrid, S: float) -> np.ndarray:
-    """beta2 = -(i/2) D beta1 - i beta1 alpha1."""
-    return -0.5j * grid.dbeta1_at(S) - 1.0j * grid.beta1_at(S) @ alpha1(grid, S)
-
-
 def ncp2_residual(grid: HMGrid, S: float) -> float:
     """Sup-norm defect of D^2 beta1 = 4{s, beta1} + 8 beta1^3 at a grid point.
 
@@ -444,14 +442,13 @@ def ncp2_residual(grid: HMGrid, S: float) -> float:
 
 @dataclass(frozen=True)
 class LaxPair:
-    """Coefficients of A(lambda) and U_D(lambda) plus the per-shift pieces."""
+    """Coefficients of A(lambda) and U_D(lambda)."""
 
     A2: np.ndarray
     A1: np.ndarray
     A0: np.ndarray
     UD1: np.ndarray
     UD0: np.ndarray
-    U_j: tuple
 
     def a_at(self, lam: complex) -> np.ndarray:
         return self.A2 * lam * lam + self.A1 * lam + self.A0
@@ -461,27 +458,17 @@ class LaxPair:
 
 
 def lax_matrices(grid: HMGrid, S: float) -> LaxPair:
-    """Assemble A(lambda), U_D(lambda) and the U_j at the point S."""
-    r = grid.r
-    ir = np.eye(r, dtype=complex)
+    """Assemble A(lambda) and U_D(lambda) at the point S."""
+    ir = np.eye(grid.r, dtype=complex)
     b = grid.beta1_at(S)
     db = grid.dbeta1_at(S)
-    al = alpha1(grid, S)
     sm = grid.s_matrix(S)
     a2 = 0.5j * np.kron(ir, SIGMA3)
     a1 = np.kron(b, SIGMA1)
     a0 = -0.5 * np.kron(db, SIGMA2) + 1.0j * np.kron(b @ b + sm, SIGMA3)
     ud1 = 1.0j * np.kron(ir, SIGMA3)
     ud0 = 2.0 * np.kron(b, SIGMA1)
-    u_j = []
-    for j in range(r):
-        e = np.zeros((r, r), dtype=complex)
-        e[j, j] = 1.0
-        lin = 1.0j * np.kron(e, SIGMA3)
-        const = 1.0j * np.kron(al @ e - e @ al, np.eye(2, dtype=complex)) \
-            + np.kron(b @ e + e @ b, SIGMA1)
-        u_j.append((lin, const))
-    return LaxPair(a2, a1, a0, ud1, ud0, tuple(u_j))
+    return LaxPair(a2, a1, a0, ud1, ud0)
 
 
 def zero_curvature_residual_p2(grid: HMGrid, S: float, lambda_samples) -> float:

@@ -28,7 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class P34State:
-    """a1 with three derivatives, the integral a2, and the b-coefficients."""
+    """a1 with three derivatives, and the integral a2."""
 
     S: float
     a1: np.ndarray
@@ -36,9 +36,6 @@ class P34State:
     a1pp: np.ndarray
     a1ppp: np.ndarray
     a2: np.ndarray
-    b2: np.ndarray
-    b3: np.ndarray
-    b4: np.ndarray
 
 
 def p34_state(grid: HMGrid, S: float) -> P34State:
@@ -54,10 +51,7 @@ def p34_state(grid: HMGrid, S: float) -> P34State:
     a1p = -2.0j * b_sq - 1.0j * db
     a1pp = -2.0j * (b @ db + db @ b) - 1.0j * d2b
     a1ppp = -2.0j * (2.0 * db @ db + b @ d2b + d2b @ b) - 1.0j * d3b
-    b2 = 0.5j * a1p
-    b3 = -0.5 * a1p @ a1 - 0.25j * a1pp
-    b4 = -0.5 * a1p @ a1p + 0.5j * a1p @ a2 - 0.25 * a1pp @ a1 - 0.125j * a1ppp
-    return P34State(S, a1, a1p, a1pp, a1ppp, a2, b2, b3, b4)
+    return P34State(S, a1, a1p, a1pp, a1ppp, a2)
 
 
 def _tiso1_rhs(st: P34State, sm: np.ndarray, include_a2: bool = True) -> np.ndarray:
@@ -92,12 +86,11 @@ def p34_residual(grid: HMGrid, S: float, include_a2: bool = True):
     return res3, res2, res4
 
 
-def lax_b(st: P34State, delta, lam: complex, a2_commutator: bool = True) -> np.ndarray:
+def lax_b(st: P34State, delta, lam: complex) -> np.ndarray:
     """B(lambda) as a 2x2 block matrix of r x r blocks.
 
-    a2_commutator toggles the [a2, s] term of the lower-left 1/lambda block
-    (identically zero for r = 1); both variants are exposed so the curvature
-    diagnostic can adjudicate between them.
+    The lower-left 1/lambda block carries the [a2, s] term, which vanishes
+    identically for r = 1.
     """
     if abs(lam) < 0.1:
         raise DomainError("lax_b requires |lambda| >= 0.1")
@@ -106,9 +99,8 @@ def lax_b(st: P34State, delta, lam: complex, a2_commutator: bool = True) -> np.n
     ir = np.eye(r, dtype=complex)
     sm = np.diag(st.S + delta).astype(complex)
     com_a1s = st.a1 @ sm - sm @ st.a1
-    bl_low = 2.0j * st.a1 - 2.0 * com_a1s @ st.a1 - 0.5 * st.a1p @ st.a1p
-    if a2_commutator:
-        bl_low = bl_low + 2.0 * (st.a2 @ sm - sm @ st.a2)
+    bl_low = 2.0j * st.a1 - 2.0 * com_a1s @ st.a1 - 0.5 * st.a1p @ st.a1p \
+        + 2.0 * (st.a2 @ sm - sm @ st.a2)
     tl = (1.0 / lam) * (1.0j * com_a1s - 0.25j * st.a1pp)
     tr = -0.5 * lam * ir + (1.0 / lam) * (-sm - 0.5j * st.a1p)
     bl = 0.5 * lam ** 3 * ir + lam * (sm - 0.5j * st.a1p) + (1.0 / lam) * bl_low
@@ -125,8 +117,7 @@ def vd_at(st: P34State, lam: complex) -> np.ndarray:
 
 
 def zero_curvature_residual_p34(grid: HMGrid, S: float, lambda_samples,
-                                step: float | None = None,
-                                a2_commutator: bool = True) -> float:
+                                step: float | None = None) -> float:
     """Max defect of the (V_D, B) compatibility over the lambda samples.
 
     DB is formed by central differences of B at S +- step (default: the grid
@@ -142,9 +133,8 @@ def zero_curvature_residual_p34(grid: HMGrid, S: float, lambda_samples,
     z = np.zeros((r, r), dtype=complex)
     worst = 0.0
     for lam in lambda_samples:
-        bmat = lax_b(st, grid.delta, lam, a2_commutator)
-        db = (lax_b(st_p, grid.delta, lam, a2_commutator)
-              - lax_b(st_m, grid.delta, lam, a2_commutator)) / (2.0 * step)
+        bmat = lax_b(st, grid.delta, lam)
+        db = (lax_b(st_p, grid.delta, lam) - lax_b(st_m, grid.delta, lam)) / (2.0 * step)
         vd = vd_at(st, lam)
         dlam_vd = np.block([[z, z], [2.0 * lam * ir, z]])
         res = dlam_vd - db + (vd @ bmat - bmat @ vd)

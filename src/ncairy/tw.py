@@ -129,10 +129,17 @@ def det_airy(q: GapQuery, sign: int, m: int = 40) -> GapResult:
 
 
 def _scalar_grid(x: float) -> HMGrid:
-    """The r = 1, unit-coupling grid behind every scalar-chain value at x."""
+    """The r = 1, unit-coupling grid behind every scalar-chain value at x.
+
+    x = 2S, so the grid's top node S_max bounds the chain at x <= 2 S_max (20).
+    """
     if not x >= -8.0:   # NaN fails this test too
         raise OutOfRange("scalar distributions are supported for x >= -8")
-    return hm_solve(CouplingMatrix(np.array([[1.0]])), [0.0], S_min=-4.2)
+    grid = hm_solve(CouplingMatrix(np.array([[1.0]])), [0.0], S_min=-4.2)
+    x_max = 2.0 * grid.S_values[-1]
+    if x > x_max:
+        raise OutOfRange(f"scalar distributions are supported for -8 <= x <= {x_max:g}")
+    return grid
 
 
 def scalar_f2(x: float) -> float:

@@ -7,8 +7,10 @@ The thirteen acceptance criteria name the checks that hold their cases.
 
 import functools
 
+import numpy as np
 import pytest
 
+from ncairy import verify
 from ncairy.verify import CHECKS, run_check
 
 _INDEX = {name: i for i, (name, _) in enumerate(CHECKS)}
@@ -81,3 +83,18 @@ def test_criterion_12_scalar_chain():
 
 def test_criterion_13_special_functions():
     _assert_checks("airy_wronskian", "airy_seam_continuity")
+
+
+def test_airy_scaled_consistency_can_fail(monkeypatch):
+    # a relative 1e-11 error in the scaled values on [0, 9.5) must not pass
+    real = verify.airy_arrays
+
+    def perturbed(x):
+        x = np.asarray(x, dtype=float)
+        out = real(x)
+        bump = np.where((x >= 0.0) & (x < 9.5), 1.0 + 1e-11, 1.0)
+        return tuple(v * bump for v in out[:4]) + (out[4],)
+
+    monkeypatch.setattr(verify, "airy_arrays", perturbed)
+    ok, line = run_check(_INDEX["airy_scaled_consistency"], seed=0)
+    assert not ok, line

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncairy import DomainError, OverflowRisk, ai_arrays, airy_arrays, airy_eval, airy_scaled
+from ncairy import DomainError, ai_arrays, airy_arrays
 
 # frozen high-precision reference values (30-digit arithmetic)
 ORACLE = [
@@ -28,18 +28,19 @@ SCALED_ORACLE = [
 
 @pytest.mark.parametrize("x,ai,aip,bi,bip", ORACLE)
 def test_oracle_values(x, ai, aip, bi, bip):
-    v = airy_eval(x)
-    assert v.ai == pytest.approx(ai, rel=1e-11)
-    assert v.aip == pytest.approx(aip, rel=1e-11)
-    assert v.bi == pytest.approx(bi, rel=1e-11)
-    assert v.bip == pytest.approx(bip, rel=1e-11)
+    ai_s, aip_s, bi_s, bip_s, zeta = (float(v[0]) for v in airy_arrays(np.asarray([x])))
+    e = math.exp(zeta)
+    assert ai_s / e == pytest.approx(ai, rel=1e-11)
+    assert aip_s / e == pytest.approx(aip, rel=1e-11)
+    assert bi_s * e == pytest.approx(bi, rel=1e-11)
+    assert bip_s * e == pytest.approx(bip, rel=1e-11)
 
 
 @pytest.mark.parametrize("x,ai_s,bi_s", SCALED_ORACLE)
 def test_scaled_oracle_values(x, ai_s, bi_s):
-    v = airy_scaled(x)
-    assert v.ai == pytest.approx(ai_s, rel=1e-11)
-    assert v.bi == pytest.approx(bi_s, rel=1e-11)
+    ai, _, bi, _, _ = airy_arrays(np.asarray([x]))
+    assert ai[0] == pytest.approx(ai_s, rel=1e-11)
+    assert bi[0] == pytest.approx(bi_s, rel=1e-11)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -67,16 +68,6 @@ def test_seam_continuity():
         assert np.max(np.abs(hi - lo) / np.maximum(np.abs(lo), 1.0)) <= 1e-11
 
 
-def test_scaled_unscaled_consistency():
-    for x in (0.25, 1.0, 3.0, 8.0, 30.0):
-        u = airy_eval(x) if x <= 100 else None
-        s = airy_scaled(x)
-        assert s.ai * math.exp(-s.zeta) == pytest.approx(u.ai, rel=1e-12)
-        assert s.aip * math.exp(-s.zeta) == pytest.approx(u.aip, rel=1e-12)
-        assert s.bi * math.exp(s.zeta) == pytest.approx(u.bi, rel=1e-12)
-        assert s.bip * math.exp(s.zeta) == pytest.approx(u.bip, rel=1e-12)
-
-
 def test_derivative_consistency():
     # central difference of ai matches aip away from zeros
     h = 1e-5
@@ -90,9 +81,9 @@ def test_derivative_consistency():
 
 def test_invalid_inputs_raise():
     with pytest.raises(DomainError):
-        airy_eval(float("nan"))
+        airy_arrays(np.asarray([float("nan")]))
     with pytest.raises(DomainError):
-        airy_eval(float("inf"))
+        airy_arrays(np.asarray([float("inf")]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -106,19 +97,6 @@ def test_arrays_reject_nonfinite(fn, bad):
 
 
 def test_unscaled_bi_overflow_guard():
-    with pytest.raises(OverflowRisk):
-        airy_eval(150.0)
-    with pytest.raises(DomainError):
-        airy_eval(1000.0)
-    # the scaled evaluation stays finite where the unscaled one overflows
-    v = airy_scaled(150.0)
-    assert math.isfinite(v.bi) and v.bi > 0
-
-
-def test_vectorized_matches_scalar():
-    xs = np.array([-7.2, -1.1, 0.4, 6.6, 14.0])
-    ai_v, aip_v = ai_arrays(xs)
-    for i, x in enumerate(xs):
-        v = airy_eval(float(x))
-        assert ai_v[i] == pytest.approx(v.ai, rel=1e-13, abs=1e-300)
-        assert aip_v[i] == pytest.approx(v.aip, rel=1e-13, abs=1e-300)
+    # the scaled evaluation stays finite where the unscaled Bi overflows
+    _, _, bi, _, _ = airy_arrays(np.asarray([150.0]))
+    assert math.isfinite(bi[0]) and bi[0] > 0

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,24 @@ def test_hm_solve_nan_tail_start_exit_two(capsys):
     code, out, err = _run(["hm-solve", "--s0", "nan"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: tail start")
+
+
+def test_hm_solve_tail_start_past_overflow_exit_two(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(["hm-solve", "--s0", "45", "--from", "44", "--to", "45",
+                               "--step", "0.5"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: tail start S0 = 45 too large")
+    code, out, _ = _run(["hm-solve", "--s0", "44", "--from", "44", "--to", "45",
+                         "--step", "0.5"], capsys)
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+def test_f2_above_grid_exit_two(capsys):
+    code, out, err = _run(["f2", "--from", "18", "--to", "22", "--step", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: scalar distributions are supported for -8 <= x <= 20\n"
 
 
 def test_hm_step_zero_exit_two(tmp_path, capsys):

@@ -56,14 +56,6 @@ def test_matrix_a2_term_required(grid2):
     assert without > 1e-3
 
 
-def test_b_coefficients(grid2):
-    st = p34_state(grid2, 0.5)
-    assert np.max(np.abs(st.b2 - 0.5j * st.a1p)) == 0.0
-    expect_b3 = -0.5 * st.a1p @ st.a1 - 0.25j * st.a1pp
-    assert np.max(np.abs(st.b3 - expect_b3)) <= 1e-14
-    assert np.isfinite(st.b4).all()
-
-
 def test_a1_anti_hermitean(grid2):
     for s_val in (0.0, 1.0, 3.0):
         a1 = p34_state(grid2, s_val).a1

@@ -168,10 +168,10 @@ def test_scalar_u_is_positive_decaying():
         scalar_f2(-9.0)
 
 
-@pytest.mark.parametrize("x", [-8.2, math.nan])
+@pytest.mark.parametrize("x", [-8.2, math.nan, 20.5])
 @pytest.mark.parametrize("fn", [scalar_f2, scalar_u, p34_scalar_residual])
 def test_scalar_chain_range_guard(fn, x):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="scalar distributions are supported"):
         fn(x)
 
 
