@@ -2,7 +2,7 @@
 
 Gauss-Legendre quadrature rules, det(Id + z K) for matrix-valued kernels on
 the half-line and on the contour gamma_plus (two rays in the upper half
-plane), and power-iteration spectral estimates.
+plane), and spectral radii from the eigenvalues of the discretized operator.
 """
 
 from __future__ import annotations
@@ -230,31 +230,7 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
     return _refine(det_at, m_per_ray, 2, refine, tol)
 
 
-def power_iteration(a: np.ndarray, seed: int, tol: float) -> float:
-    """Largest |Rayleigh quotient| of a square matrix by power iteration.
-
-    Starts from a seeded complex Gaussian vector and stops when the quotient
-    changes by at most tol * max(1, quotient); raises ConvergenceFailure when
-    10000 sweeps do not get there.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(a.shape[0]) + 1j * rng.standard_normal(a.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10000):
-        w = a @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = abs(np.vdot(v_new, a @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            return float(lam_new)
-        lam, v = lam_new, v_new
-    raise ConvergenceFailure("power iteration exhausted its budget")
-
-
 def spectral_radius(kernel, r: int, rule: QuadratureRule) -> float:
-    """Largest-modulus eigenvalue of the discretized operator, power iteration."""
+    """Largest |eigenvalue| of the discretized operator, from all its eigenvalues."""
     a = _assemble_block(kernel, r, 1.0, rule.nodes, rule.weights) - np.eye(rule.m * r)
-    return power_iteration(a, 2718, 1e-8)
+    return float(np.max(np.abs(np.linalg.eigvals(a))))

@@ -171,11 +171,15 @@ class HMGrid:
     def s_matrix(self, S: float) -> np.ndarray:
         return np.diag(S + self.delta).astype(complex)
 
-    def index_of(self, S: float) -> int:
-        i = int(round((S - self.S_values[0]) / self.h))
-        if i < 0 or i >= self.S_values.size or abs(self.S_values[i] - S) > 0.5 * self.h:
+    def index_of(self, S):
+        """Index of the node within 1e-9 h of S (as _local_cubic tests); arrays too."""
+        pos = (S - self.S_values[0]) / self.h
+        i = np.rint(pos)
+        off = (i < 0) | (i >= self.S_values.size) | ~(abs(pos - i) < 1e-9)
+        # a scalar S gives the np.False_ singleton, which skips the reduction
+        if off is not np.False_ and off.any():
             raise OutOfRange(f"S = {S} not on the stored grid")
-        return i
+        return i.astype(int)
 
     def _local_cubic(self, data: np.ndarray, S: float) -> np.ndarray:
         """Evaluate grid data at S; exact at nodes, 4-point Lagrange between."""
@@ -424,20 +428,22 @@ def alpha1(grid: HMGrid, S: float) -> np.ndarray:
     return 2.0j * grid.int_beta_sq(S)
 
 
-def ncp2_residual(grid: HMGrid, S: float) -> float:
-    """Sup-norm defect of D^2 beta1 = 4{s, beta1} + 8 beta1^3 at a grid point.
+def ncp2_residual(grid: HMGrid, S) -> float:
+    """Sup-norm defect of D^2 beta1 = 4{s, beta1} + 8 beta1^3 at a grid node.
 
     The second derivative comes from the five-point central stencil on the
     stored grid, so the value reflects both solver and grid-spacing error.
+    S may be an array of nodes; the defect is then the largest over them.
     """
     i = grid.index_of(S)
-    if i < 2 or i > grid.S_values.size - 3:
+    edge = (i < 2) | (i > grid.S_values.size - 3)
+    if edge is not np.False_ and edge.any():
         raise OutOfRange("residual stencil needs two neighbors on each side")
     f = grid.beta1
     h = grid.h
     d2 = (-f[i - 2] + 16.0 * f[i - 1] - 30.0 * f[i] + 16.0 * f[i + 1] - f[i + 2]) / (12.0 * h * h)
-    rhs = _pii_rhs(grid.S_values[i] + grid.delta, f[i])
-    return float(np.max(np.abs(d2 - rhs)))
+    rhs = _pii_rhs(grid.S_values[i, None] + grid.delta, f[i])
+    return float(abs(d2 - rhs).max())
 
 
 @dataclass(frozen=True)

@@ -186,9 +186,12 @@ def scalar_w_checks(x: float) -> tuple[float, float]:
 
 
 def p34_scalar_residual(x: float) -> float:
-    """Defect of w''' = 12 w w' + 2 w + x w' by finite differences in x."""
+    """Defect of w''' = 12 w w' + 2 w + x w' by finite differences in x, up to x + 4h."""
     grid = _scalar_grid(x)
     dx = 2.0 * grid.h
+    x_max = 2.0 * grid.S_values[-1] - 2.0 * dx
+    if x > x_max:
+        raise OutOfRange(f"p34_scalar_residual is supported for -8 <= x <= {x_max:g}")
     ws = np.array([_w_of(grid, x + k * dx) for k in range(-2, 3)])
     wp = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dx)
     wppp = (-ws[0] + 2.0 * ws[1] - 2.0 * ws[3] + ws[4]) / (2.0 * dx ** 3)

@@ -51,21 +51,12 @@ def test_wronskian_property(x):
     assert abs(w * math.pi - 1.0) <= 1e-10
 
 
-def test_ode_residual():
-    h = 1e-3
-    for x0 in np.linspace(-10.0, 10.0, 81):
-        pts = x0 + h * np.arange(-2, 3)
-        ai, _ = ai_arrays(pts)
-        d2 = (-ai[0] + 16 * ai[1] - 30 * ai[2] + 16 * ai[3] - ai[4]) / (12 * h * h)
-        assert abs(d2 - x0 * ai[2]) <= 1e-6
+def test_ode_residual(assert_checks):
+    assert_checks("airy_ode_residual")
 
 
-def test_seam_continuity():
-    eps = 1e-12
-    for seam in (-9.5, -4.5, 0.0, 4.5, 9.5):
-        lo = np.array(airy_arrays(np.asarray([seam - eps]))[:4]).ravel()
-        hi = np.array(airy_arrays(np.asarray([seam + eps]))[:4]).ravel()
-        assert np.max(np.abs(hi - lo) / np.maximum(np.abs(lo), 1.0)) <= 1e-11
+def test_seam_continuity(assert_checks):
+    assert_checks("airy_seam_continuity")
 
 
 def test_derivative_consistency():

@@ -338,12 +338,5 @@ def test_scan_reports_samples(capsys):
     assert "zero crossing" in err
 
 
-def test_verify_subset_passes(capsys):
-    # run a cheap named check through the public suite machinery
-    from ncairy.verify import CHECKS
-
-    names = [n for n, _ in CHECKS]
-    assert "airy_wronskian" in names and "route_agreement" in names
-    fn = dict(CHECKS)["airy_wronskian"]
-    ok, detail = fn(np.random.default_rng(0))
-    assert ok, detail
+def test_verify_subset_passes(assert_checks):
+    assert_checks("airy_wronskian")

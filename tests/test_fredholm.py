@@ -21,13 +21,8 @@ from ncairy import (
     matrix_airy_sq_kernel,
     nystrom_det,
     nystrom_det_contour,
-    spectral_radius,
 )
 from ncairy.fredholm import QuadratureRule, _interval_rule
-
-C_HERM = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
-C_REAL_SYM = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
-
 
 def test_gauss_legendre_two_point():
     rule = gauss_legendre(2)
@@ -99,63 +94,26 @@ def test_scalar_gap_value():
     assert np.real(d.value) == pytest.approx(0.9693728283553741, abs=1e-9)
 
 
-def test_determinant_multiplicativity():
-    s = ShiftVector(np.array([0.0, 0.3]))
-    rule = half_line_rule(40, half_line_cutoff(s))
-    sq = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, s, C_HERM), 2, -1.0, rule)
-    mi = nystrom_det(lambda x, y: matrix_airy_kernel(x, y, s, C_HERM), 2, -1.0, rule)
-    pl = nystrom_det(lambda x, y: matrix_airy_kernel(x, y, s, C_HERM), 2, 1.0, rule)
-    assert abs(sq.value - mi.value * pl.value) / abs(sq.value) <= 1e-8
+def test_determinant_multiplicativity(assert_checks):
+    assert_checks("det_multiplicativity")
 
 
-def test_refinement_error_decreases():
-    s = ShiftVector(np.array([0.0]))
-    c = CouplingMatrix(np.array([[1.0]]))
-    cutoff = half_line_cutoff(s)
-    errs = []
-    for m in (10, 20, 40):
-        rule = half_line_rule(m, cutoff)
-        d = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, s, c),
-                        1, -1.0, rule, refine=False)
-        errs.append(abs(d.value - 0.9693728283553741))
-    assert errs[1] <= errs[0] and errs[2] <= errs[1]
+def test_refinement_error_decreases(assert_checks):
+    assert_checks("refinement_monotonicity")
 
 
-def test_weight_splitting_invariance():
-    s = ShiftVector(np.array([0.0, 0.3]))
-    rule = half_line_rule(60, half_line_cutoff(s))
-    a = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, s, C_HERM),
-                    2, -1.0, rule, refine=False, split=True)
-    b = nystrom_det(lambda x, y: matrix_airy_sq_kernel(x, y, s, C_HERM),
-                    2, -1.0, rule, refine=False, split=False)
-    assert abs(a.value - b.value) <= 1e-12
+def test_weight_splitting_invariance(assert_checks):
+    assert_checks("weight_splitting_invariance")
 
 
-@pytest.mark.parametrize("sv,c,z", [
-    (np.array([0.0]), CouplingMatrix(np.array([[1.0]])), -1.0),
-    (np.array([0.5]), CouplingMatrix(np.array([[0.8]])), 1.0),
-    (np.array([-0.5]), CouplingMatrix(np.array([[0.6]])), -1.0),
-    (np.array([0.0, 0.3]), C_HERM, -1.0),
-    (np.array([0.2, -0.2]), C_REAL_SYM, 1.0),
-])
-def test_contour_half_line_equivalence(sv, c, z):
-    s = ShiftVector(sv)
-    rule = half_line_rule(40, half_line_cutoff(s))
-    d_half = nystrom_det(lambda x, y: matrix_airy_kernel(x, y, s, c), s.r, z, rule)
-    d_cont = nystrom_det_contour(s, c, z)
-    assert abs(d_half.value - d_cont.value) <= 1e-6 * abs(d_half.value)
+@pytest.mark.parametrize("case", ["sv0-c0--1.0", "sv1-c1-1.0", "sv2-c2--1.0", "sv3-c3--1.0",
+                                  "sv4-c4-1.0"])
+def test_contour_half_line_equivalence(case, assert_checks):
+    assert_checks("contour_half_line_equivalence")
 
 
-def test_spectral_radius_decay_and_boundary():
-    c = CouplingMatrix(np.array([[1.0]]))
-    s_hi = ShiftVector(np.array([5.0]))
-    rule = half_line_rule(80, half_line_cutoff(s_hi))
-    rho = spectral_radius(lambda x, y: matrix_airy_sq_kernel(x, y, s_hi, c), 1, rule)
-    assert rho <= 1e-6
-    s_lo = ShiftVector(np.array([-6.0]))
-    rule = half_line_rule(80, half_line_cutoff(s_lo))
-    rho = spectral_radius(lambda x, y: matrix_airy_sq_kernel(x, y, s_lo, c), 1, rule)
-    assert 0.9 < rho < 1.0
+def test_spectral_radius_decay_and_boundary(assert_checks):
+    assert_checks("spectral_radius_bounds")
 
 
 def test_det_result_diagnostics():

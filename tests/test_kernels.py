@@ -12,7 +12,6 @@ from ncairy import (
     ShiftVector,
     ai_arrays,
     contour_symbol,
-    gauss_legendre,
     half_line_rule,
     kernels,
     matrix_airy_kernel,
@@ -21,11 +20,6 @@ from ncairy import (
 )
 
 C_HERM = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
-
-
-def _z_rule(m=200, cutoff=40.0):
-    base = gauss_legendre(m)
-    return 0.5 * cutoff * (base.nodes + 1.0), 0.5 * cutoff * base.weights
 
 
 def test_shift_vector_split():
@@ -50,13 +44,8 @@ def test_matrix_airy_kernel_entries():
             assert k[j, l] == pytest.approx(C_HERM.entries[j, l] * ai[0], rel=1e-12)
 
 
-def test_scalar_kernel_against_quadrature():
-    z, wz = _z_rule()
-    for a, b in ((0.0, 0.0), (0.5, -0.5), (-1.0, 2.0), (3.0, 3.5)):
-        a1, _ = ai_arrays(a + z)
-        a2, _ = ai_arrays(b + z)
-        oracle = float(np.sum(wz * a1 * a2))
-        assert float(scalar_airy_kernel(a, b)) == pytest.approx(oracle, abs=1e-8)
+def test_scalar_kernel_against_quadrature(assert_checks):
+    assert_checks("scalar_kernel_quadrature")
 
 
 def test_scalar_kernel_diagonal_seam():
@@ -69,28 +58,12 @@ def test_scalar_kernel_diagonal_seam():
     assert near == pytest.approx(exact, rel=1e-6)
 
 
-def test_sq_kernel_against_z_integral():
-    s = ShiftVector(np.array([0.1, -0.4]))
-    z, wz = _z_rule()
-    for x, y in ((0.0, 0.5), (-1.0, 2.0), (1.3, 1.3)):
-        direct = matrix_airy_sq_kernel(x, y, s, C_HERM)
-        oracle = np.zeros((2, 2), dtype=complex)
-        for j1 in range(2):
-            for j2 in range(2):
-                for k in range(2):
-                    a1, _ = ai_arrays(x + s.s[j1] + z + s.s[k])
-                    a2, _ = ai_arrays(z + s.s[k] + y + s.s[j2])
-                    oracle[j1, j2] += (C_HERM.entries[j1, k] * C_HERM.entries[k, j2]
-                                       * np.sum(wz * a1 * a2))
-        assert np.max(np.abs(direct - oracle)) <= 1e-8
+def test_sq_kernel_against_z_integral(assert_checks):
+    assert_checks("kernel_sq_quadrature")
 
 
-def test_sq_kernel_hermitean_transpose():
-    s = ShiftVector(np.array([0.0, 0.25]))
-    for x, y in ((0.3, -0.7), (1.1, 0.2)):
-        a = matrix_airy_sq_kernel(x, y, s, C_HERM)
-        b = matrix_airy_sq_kernel(y, x, s, C_HERM)
-        assert np.max(np.abs(a - b.conj().T)) <= 1e-12
+def test_sq_kernel_hermitean_transpose(assert_checks):
+    assert_checks("kernel_hermitean_transpose")
 
 
 def test_contour_symbol_diagonal_phase():

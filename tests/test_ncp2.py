@@ -11,6 +11,7 @@ from ncairy import (
     CouplingMatrix,
     DomainError,
     HMGrid,
+    OutOfRange,
     PoleEncountered,
     ShiftVector,
     ai_arrays,
@@ -20,7 +21,6 @@ from ncairy import (
     lax_matrices,
     ncp2_residual,
     p34_state,
-    zero_curvature_residual_p2,
 )
 from ncairy import ncp2
 from ncairy.airy import airy_arrays
@@ -53,58 +53,28 @@ def test_deep_tail_matches_airy(grid1):
         -ai_arrays(np.asarray([8.0]))[0][0], abs=1e-12)
 
 
-def test_asymptotic_matching(grid2):
-    s_val = 5.0
-    b = grid2.beta1_at(s_val)
-    sj = s_val + np.asarray(D2)
-    target = -C2.entries * ai_arrays(sj[:, None] + sj[None, :])[0]
-    m = float(np.max(np.abs(D2)))
-    bound = 10.0 * math.sqrt(s_val) * math.exp(-(4.0 / 3.0) * (2 * s_val - 2 * m) ** 1.5)
-    assert float(np.max(np.abs(b - target))) <= bound
+def test_asymptotic_matching(assert_checks):
+    assert_checks("hm_asymptotic_matching")
 
 
-def test_ode_residual_everywhere(grid1, grid2):
-    for grid in (grid1, grid2):
-        for s_val in np.linspace(-1.4, 6.0, 16):
-            assert ncp2_residual(grid, float(s_val)) <= 1e-6
+def test_ode_residual_everywhere(assert_checks):
+    assert_checks("ncp2_residual")
 
 
-def test_residual_fourth_order_decay():
-    res_h = []
-    for h in (1e-2, 5e-3):
-        grid = hm_solve(C1, [0.0], S_min=-1.0, h=h, cached=False)
-        res_h.append(max(ncp2_residual(grid, s) for s in (-0.5, 0.0, 1.0)))
-    ratio = res_h[0] / res_h[1]
-    assert ratio > 8.0  # O(h^4) halving gives ~16
+def test_residual_fourth_order_decay(assert_checks):
+    assert_checks("ncp2_residual")
 
 
-def test_parity_odd_in_coupling():
-    # two fresh solves, so the check does not rest on the cache's mirror
-    g_plus = hm_solve(CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]])), D2,
-                      S_min=-0.5, cached=False)
-    g_minus = hm_solve(CouplingMatrix(np.array([[-0.6, -0.2], [-0.2, -0.5]])), D2,
-                       S_min=-0.5, cached=False)
-    assert np.array_equal(g_plus.beta1, -g_minus.beta1)
-    assert np.array_equal(g_plus.dbeta1, -g_minus.dbeta1)
+def test_parity_odd_in_coupling(assert_checks):
+    assert_checks("hm_parity")
 
 
-def test_hermiticity(grid2):
-    for s_val in (-0.5, 0.0, 1.0, 3.0):
-        b = grid2.beta1_at(s_val)
-        assert float(np.max(np.abs(b - b.conj().T))) <= 1e-12
+def test_hermiticity(assert_checks):
+    assert_checks("hm_hermiticity")
 
 
-def test_picard_ode_seam():
-    t0 = hm_tail_picard(C1, [0.0], 2.0)
-    t1 = hm_tail_picard(C1, [0.0], 3.0)
-    b, db = t1.beta[0], t1.dbeta[0]
-    h = 1e-3
-    s_cur = 3.0
-    for _ in range(1000):
-        b, db = _rk4_step(s_cur, b, db, -h, np.array([0.0]))
-        s_cur -= h
-    ref = t0.beta[0]
-    assert float(np.max(np.abs(b - ref))) <= 1e-9
+def test_picard_ode_seam(assert_checks):
+    assert_checks("picard_ode_seam")
 
 
 def test_tail_solve_makes_one_airy_pass(monkeypatch):
@@ -213,10 +183,8 @@ def test_alpha1_antiderivative(grid1):
     assert np.max(np.abs(fd - (-2.0j) * b @ b)) <= 1e-8
 
 
-def test_zero_curvature(grid1, grid2):
-    lams = (1.0, 1.0j, -2.0, 0.5 + 0.5j)
-    assert zero_curvature_residual_p2(grid1, 0.5, lams) <= 1e-8
-    assert zero_curvature_residual_p2(grid2, 0.5, lams) <= 1e-7
+def test_zero_curvature(assert_checks):
+    assert_checks("zero_curvature_p2")
 
 
 def test_lax_matrix_shapes(grid2):
@@ -232,6 +200,23 @@ def test_interpolation_consistency(grid1):
     i = grid1.index_of(0.25)
     s_node = float(grid1.S_values[i])
     assert np.max(np.abs(grid1.beta1_at(s_node) - grid1.beta1[i])) <= 1e-13
+
+
+def test_index_of_takes_nodes_only(grid1):
+    # 0.3337 lies 0.3 h from the node 0.334 and used to snap to it
+    h = grid1.h
+    for s_val in (0.3337, 0.3335, grid1.S_values[0] - h, grid1.S_values[-1] + h, math.nan):
+        with pytest.raises(OutOfRange, match="not on the stored grid"):
+            grid1.index_of(s_val)
+        with pytest.raises(OutOfRange):
+            ncp2_residual(grid1, s_val)
+    assert grid1.index_of(0.334) == grid1.index_of(0.334 + 1e-14)
+    # an array of nodes: one index each, and the largest of the residuals
+    pts = np.array([-1.0, 0.0, 0.334, 3.0])
+    assert np.array_equal(grid1.index_of(pts), [grid1.index_of(p) for p in pts])
+    assert ncp2_residual(grid1, pts) == max(ncp2_residual(grid1, p) for p in pts)
+    with pytest.raises(OutOfRange, match="two neighbors"):
+        ncp2_residual(grid1, grid1.S_values[-2:])
 
 
 MIRROR_CASES = {
