@@ -130,9 +130,9 @@ def _lu_logdet(a: np.ndarray) -> tuple[complex, float]:
     return sign * np.exp(min(logabs, 700.0)), float(logabs)
 
 
-def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.ndarray,
+def _weighted_block(kernel, r: int, nodes: np.ndarray, weights: np.ndarray,
                     split: bool = True) -> np.ndarray:
-    """Id + z B with block (i,k) = sqrt(w_i) K(x_i,x_k) sqrt(w_k) (or K w_k)."""
+    """B with block (i,k) = sqrt(w_i) K(x_i,x_k) sqrt(w_k) (or K w_k)."""
     m = nodes.size
     kmat = np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=complex)
     if split:
@@ -140,8 +140,14 @@ def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.n
         kmat = kmat * sw[:, None, None, None] * sw[None, :, None, None]
     else:
         kmat = kmat * weights[None, :, None, None]
-    big = kmat.transpose(0, 2, 1, 3).reshape(m * r, m * r)
-    return np.eye(m * r, dtype=complex) + z * big
+    return kmat.transpose(0, 2, 1, 3).reshape(m * r, m * r)
+
+
+def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.ndarray,
+                    split: bool = True) -> np.ndarray:
+    """Id + z B, B the weighted block of _weighted_block."""
+    big = _weighted_block(kernel, r, nodes, weights, split)
+    return np.eye(big.shape[0], dtype=complex) + z * big
 
 
 def _refine(det_at, m: int, rays: int, refine: bool, tol: float) -> DetResult:
@@ -231,6 +237,9 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
 
 
 def spectral_radius(kernel, r: int, rule: QuadratureRule) -> float:
-    """Largest |eigenvalue| of the discretized operator, from all its eigenvalues."""
-    a = _assemble_block(kernel, r, 1.0, rule.nodes, rule.weights) - np.eye(rule.m * r)
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    """Largest |eigenvalue| of the weighted block B, from all its eigenvalues.
+
+    B itself, not (Id + B) - Id, so entries far below 1 keep their digits.
+    """
+    b = _weighted_block(kernel, r, rule.nodes, rule.weights)
+    return float(np.max(np.abs(np.linalg.eigvals(b))))

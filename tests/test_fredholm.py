@@ -21,6 +21,7 @@ from ncairy import (
     matrix_airy_sq_kernel,
     nystrom_det,
     nystrom_det_contour,
+    spectral_radius,
 )
 from ncairy.fredholm import QuadratureRule, _interval_rule
 
@@ -114,6 +115,22 @@ def test_contour_half_line_equivalence(case, assert_checks):
 
 def test_spectral_radius_decay_and_boundary(assert_checks):
     assert_checks("spectral_radius_bounds")
+
+
+def test_spectral_radius_keeps_small_entries():
+    # at S = 5 the Ai^2 kernel is about 1e-22, below the rounding of 1 + K;
+    # one eigenvalue dominates, so the radius is close to the block's trace
+    s = ShiftVector(np.array([5.0]))
+    c = CouplingMatrix(np.array([[1.0]]))
+    rule = half_line_rule(80, half_line_cutoff(s))
+
+    def kernel(x, y):
+        return matrix_airy_sq_kernel(x, y, s, c)
+
+    x = rule.nodes
+    trace = float(np.sum(rule.weights * np.real(np.diagonal(kernel(x[:, None], x[None, :])[..., 0, 0]))))
+    assert 1e-22 < trace < 1e-21
+    assert abs(spectral_radius(kernel, 1, rule) - trace) <= 1e-2 * trace
 
 
 def test_det_result_diagnostics():

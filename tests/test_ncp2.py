@@ -24,7 +24,7 @@ from ncairy import (
 )
 from ncairy import ncp2
 from ncairy.airy import airy_arrays
-from ncairy.ncp2 import _blown, _matcube, _reverse_cumulative, _rk4_step
+from ncairy.ncp2 import _blown, _matcube, _reverse_cumulative, _rk4, _rk4_step
 
 C1 = CouplingMatrix(np.array([[1.0]]))
 C2 = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
@@ -373,18 +373,24 @@ def _seed_step(S, b, db, step, delta):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rk4_step_matches_matrix_form(r):
-    # the elementwise anticommutator must reproduce diag-matrix products exactly
+    # the elementwise anticommutator must reproduce diag-matrix products
+    # exactly, one step at a time and over the kernel's 200 rows
     rng = np.random.default_rng(r)
     delta = rng.uniform(-0.4, 0.4, r)
     b = 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
     db = 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    ys = np.empty((201, 3, r, r), dtype=complex)
+    ys[0, 0], ys[0, 1] = b, db
+    s = 1.0 - 1e-3 * np.arange(200)
+    shifts = np.stack([s, s + 0.5 * -1e-3, s - 1e-3], axis=1)[:, :, None] + delta
+    assert _rk4(ys, shifts, -1e-3) == 200
     ref_b, ref_db = b, db
-    s_cur, h = 1.0, 1e-3
-    for _ in range(200):
+    h = 1e-3
+    for i, s_cur in enumerate(s):
         b, db = _rk4_step(s_cur, b, db, -h, delta)
         ref_b, ref_db = _seed_step(s_cur, ref_b, ref_db, -h, delta)
-        s_cur -= h
         assert b.tobytes() == ref_b.tobytes() and db.tobytes() == ref_db.tobytes()
+        assert ys[i + 1, 0].tobytes() == b.tobytes() and ys[i + 1, 1].tobytes() == db.tobytes()
 
 
 def test_blown_flags_nonfinite_and_large():
@@ -395,3 +401,79 @@ def test_blown_flags_nonfinite_and_large():
         b = ok.copy()
         b[1, 0] = bad
         assert _blown(b), bad
+
+
+def _loop_continue(tail, S_min):
+    """hm_continue as a per-step loop of _seed_step, with lists."""
+    def blown(b):
+        return not (np.abs(b).max() <= 1e8)
+
+    h, s0 = tail.h, tail.S0
+    s_list, b_list, db_list = [], [], []
+    b, db = tail.beta[0], tail.dbeta[0]
+    pole_at = None
+    for i in range(int(round((s0 - S_min) / h))):
+        s_cur = s0 - i * h
+        bn, dbn = _seed_step(s_cur, b, db, -h, tail.delta)
+        if blown(bn):
+            lo, hi = s_cur - h, s_cur
+            step = h
+            while step > h / 16.0:
+                step *= 0.5
+                bt, dbt = _seed_step(hi, b, db, -step, tail.delta)
+                if blown(bt):
+                    lo = hi - step
+                else:
+                    b, db = bt, dbt
+                    hi = hi - step
+                    lo = hi - step
+            pole_at = 0.5 * (lo + hi)
+            break
+        b, db = bn, dbn
+        s_list.append(s_cur - h)
+        b_list.append(b)
+        db_list.append(db)
+    shape = tail.beta.shape[1:]
+    s_all = np.concatenate([np.array(s_list[::-1]), s0 + h * np.arange(tail.beta.shape[0])])
+    b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *shape), tail.beta])
+    db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *shape), tail.dbeta])
+    return s_all, b_all, db_all, pole_at
+
+
+def _assert_same_grid(grid, ref):
+    for name, want in zip(("S_values", "beta1", "dbeta1"), ref):
+        assert getattr(grid, name).tobytes() == want.tobytes(), name
+    assert grid.pole_at == ref[3]
+
+
+C3 = CouplingMatrix(np.array([[0.5, 0.1 - 0.2j, 0.05j],
+                              [0.1 + 0.2j, 0.4, 0.1],
+                              [-0.05j, 0.1, 0.3]]))
+
+
+@pytest.mark.parametrize("c,delta,s_min", [
+    (C1, [0.0], -1.5),
+    (C2, D2, -1.2),                            # complex Hermitian
+    (CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]])), [-0.15, 0.15], -0.7),
+    (C3, [-0.2, 0.1, 0.35], -0.5),             # complex Hermitian, r = 3
+    (C2, D2, 2.0),                             # S_min at the tail start
+    (C3, [-0.2, 0.1, 0.35], 2.6),              # above it: no continuation
+])
+def test_continuation_matches_step_loop(c, delta, s_min):
+    tail = hm_tail_picard(c, delta, 2.0)
+    _assert_same_grid(ncp2.hm_continue(tail, s_min), _loop_continue(tail, s_min))
+
+
+def test_continuation_pole_matches_step_loop(monkeypatch):
+    tail = hm_tail_picard(CouplingMatrix(np.array([[1.2]])), [0.0], 2.0)
+    ref = _loop_continue(tail, -3.0)
+    good = ref[0].size - tail.beta.shape[0]   # the step from this node blows up
+    assert good % ncp2._CHUNK not in (0, ncp2._CHUNK - 1)
+    # the default chunk puts the blow-up inside a chunk; then on a chunk's
+    # last row, and on the first row of the next chunk
+    for chunk in (ncp2._CHUNK, good + 1, good):
+        monkeypatch.setattr(ncp2, "_CHUNK", chunk)
+        with pytest.raises(PoleEncountered) as exc:
+            ncp2.hm_continue(tail, -3.0)
+        assert exc.value.pole_at == ref[3] and -1.2 < ref[3] < -1.1
+        _assert_same_grid(exc.value.grid, ref)
