@@ -10,7 +10,8 @@ Evaluation strategy (seams validated by the airy_seam_continuity check in verify
   the asymptotic seed at x = 9.5 (the stable direction for the recessive
   solution), Bi *upward* from its exact value at x = 0;
 * ``x >= 9.5``         asymptotic expansions in zeta = (2/3) x^(3/2), which
-  produce the scaled values natively.
+  produce the scaled values natively; the sums stop once the next term can no
+  longer change them (at most 24 terms).
 
 A plain series/asymptotics split at a single crossover cannot reach 1e-12
 relative accuracy in double precision (the asymptotic series' optimal
@@ -57,6 +58,13 @@ def _asy_u_v(nmax: int) -> tuple[np.ndarray, np.ndarray]:
 
 _ASY_U, _ASY_V = _asy_u_v(48)
 
+# Rows k of the stacked x >= 9.5 sums (Ai, Ai', Bi, Bi'): ((-1)^k u_k, (-1)^k v_k, u_k, v_k).
+_ASY_SGN = np.where(np.arange(_ASY_U.size) % 2, -1.0, 1.0)
+_ASY_POS_COEF = np.stack([_ASY_SGN * _ASY_U, _ASY_SGN * _ASY_V, _ASY_U, _ASY_V], axis=1)[:, :, None]
+# Largest |coefficient| of the next term, max(|u_{k+1}|, |v_{k+1}|); the last row never stops early.
+_ASY_POS_NEXT = np.append(np.maximum(np.abs(_ASY_U), np.abs(_ASY_V))[1:], np.inf).tolist()
+_ASY_POS_STOP = 2.0 ** -55
+
 
 def _series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Maclaurin series for Ai, Ai', Bi, Bi' (vectorized, |x| <= ~4.6)."""
@@ -92,23 +100,23 @@ def _asy_pos_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     """Scaled asymptotics for x >= 9.5: returns (ai e^z, aip e^z, bi e^-z, bip e^-z, zeta)."""
     zeta = (2.0 / 3.0) * x ** 1.5
     xq = x ** 0.25
-    sa = np.zeros_like(x)
-    sap = np.zeros_like(x)
-    sb = np.zeros_like(x)
-    sbp = np.zeros_like(x)
+    # Term k is +-u_k / zeta^k (+-v_k / zeta^k for the derivatives).  The u-terms shrink by
+    # (6k+5)(6k+1) / (72 (k+1) zeta) per step, below about 0.6 for zeta >= 19.5 (x >= 9.5)
+    # and k <= 24; the v-terms shrink faster still, as |v_k| = u_k (6k+1)/(6k-1).  The loop
+    # stops once the next term is below 2^-55: it and every later term are below half an
+    # ulp of each sum, which lies in [0.99, 1.01], so none of them can change a bit.  Every
+    # x >= 9.5 stops by k = 24, long before the terms start to grow (k near 2 zeta), so
+    # every term the loop adds is still shrinking and needs no mask.
+    sums = np.zeros((4, x.size))
+    step = np.empty_like(sums)
     term = np.ones_like(x)
-    prev = np.full_like(x, np.inf)
-    for k in range(_ASY_U.size):
-        tk = term * _ASY_U[k]
-        tkv = term * _ASY_V[k]
-        live = np.abs(tk) < prev
-        sgn = -1.0 if (k % 2) else 1.0
-        sa += np.where(live, sgn * tk, 0.0)
-        sap += np.where(live, sgn * tkv, 0.0)
-        sb += np.where(live, tk, 0.0)
-        sbp += np.where(live, tkv, 0.0)
-        prev = np.abs(tk)
-        term = term / zeta
+    for coef, nxt in zip(_ASY_POS_COEF, _ASY_POS_NEXT):
+        np.multiply(term, coef, out=step)
+        sums += step
+        term /= zeta
+        if term.max() * nxt < _ASY_POS_STOP:
+            break
+    sa, sap, sb, sbp = sums
     ai_s = sa / (2.0 * _SQRTPI * xq)
     aip_s = -xq * sap / (2.0 * _SQRTPI)
     bi_s = sb / (_SQRTPI * xq)

@@ -167,6 +167,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options whose value is a comma list that may start with a minus, e.g. --shifts -0.15,0.15
+_LIST_OPTIONS = ("--shifts", "--coupling", "--coupling-im")
+
+
+def _attach_list_values(argv) -> list:
+    """Rewrite ``--shifts -0.15,0.15`` as ``--shifts=-0.15,0.15``.
+
+    argparse takes a separate value that starts with a minus and is not one plain
+    number for an option name, so a list like ``-0.15,0.15`` needs the ``=`` form.
+    """
+    out = []
+    it = iter(argv)
+    for arg in it:
+        val = next(it, None) if arg in _LIST_OPTIONS else None
+        out.append(arg if val is None else f"{arg}={val}")
+    return out
+
+
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     path = args.config or os.environ.get("NCAIRY_CONFIG")
@@ -291,7 +309,7 @@ def _cmd_scan(cfg: RunConfig, args) -> tuple[list, int]:
 def run_command(argv) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_list_values(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

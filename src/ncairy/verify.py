@@ -122,13 +122,19 @@ def check_airy_seam_continuity(rng) -> tuple[bool, str]:
     return ok, "max seam jump " + ", ".join(details)
 
 
-# (x, Ai e^zeta, Ai' e^zeta, Bi e^-zeta, Bi' e^-zeta), zeta = (2/3) x^(3/2):
-# mpmath 1.3 at 50 digits, rounded to double
+# (x, Ai e^zeta, Ai' e^zeta, Bi e^-zeta, Bi' e^-zeta), zeta = (2/3) x^(3/2) for x >= 0 and
+# zeta = 0 (unscaled values) for x < 0: mpmath 1.3 at 50 digits, rounded to double.  The
+# points +-9.2 sit on the ladder side of the seams at +-9.5; 9.6 and 12 are near the seam,
+# where the x >= 9.5 expansion runs longest before it stops (24 and 16 terms).
 _SCALED_REFERENCE = [
+    (-9.2, 0.16526800465147964, -0.8406710738038008, 0.27858425435711526, 0.5089440155457845),
     (0.5, 0.29327715912994734, -0.28469116209194256, 0.6748924111156303, 0.43022096146376937),
     (3.0, 0.210572042785977, -0.3805927480192681, 0.4393840235500964, 0.7174908464874238),
     (8.0, 0.1669880710639328, -0.47739652448079845, 0.3370723758204164, 0.9425386164762586),
+    (9.2, 0.16138690211907974, -0.49380288680862283, 0.32519621241278884, 0.9773225438006494),
     (9.5, 0.1601241423810822, -0.4976638818772441, 0.32253807502213, 0.985449997537075),
+    (9.6, 0.1597139498259528, -0.4989314944902078, 0.32167601083420466, 0.988114022154052),
+    (12.0, 0.15119256068463707, -0.5268505009124518, 0.3039054138807329, 1.046329038508012),
     (20.0, 0.1332404073518136, -0.5975232737163193, 0.2671023248341684, 1.191155399372008),
     (100.0, 0.08919692093633041, -0.8921920625040315, 0.1784310111708354, 1.7838637549628087),
 ]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncairy import DomainError, ai_arrays, airy_arrays
+from ncairy import DomainError, ai_arrays, airy, airy_arrays
 
 # frozen high-precision reference values (30-digit arithmetic)
 ORACLE = [
@@ -91,3 +91,65 @@ def test_unscaled_bi_overflow_guard():
     # the scaled evaluation stays finite where the unscaled Bi overflows
     _, _, bi, _, _ = airy_arrays(np.asarray([150.0]))
     assert math.isfinite(bi[0]) and bi[0] > 0
+
+
+def _masked_asy_pos_scaled(x):
+    # the 48-term expansion with a per-term live mask, as it stood before the early stop
+    zeta = (2.0 / 3.0) * x ** 1.5
+    xq = x ** 0.25
+    sa = np.zeros_like(x)
+    sap = np.zeros_like(x)
+    sb = np.zeros_like(x)
+    sbp = np.zeros_like(x)
+    term = np.ones_like(x)
+    prev = np.full_like(x, np.inf)
+    for k in range(airy._ASY_U.size):
+        tk = term * airy._ASY_U[k]
+        tkv = term * airy._ASY_V[k]
+        live = np.abs(tk) < prev
+        sgn = -1.0 if (k % 2) else 1.0
+        sa += np.where(live, sgn * tk, 0.0)
+        sap += np.where(live, sgn * tkv, 0.0)
+        sb += np.where(live, tk, 0.0)
+        sbp += np.where(live, tkv, 0.0)
+        prev = np.abs(tk)
+        term = term / zeta
+    sqrtpi = math.sqrt(math.pi)
+    return sa / (2.0 * sqrtpi * xq), -xq * sap / (2.0 * sqrtpi), sb / (sqrtpi * xq), xq * sbp / sqrtpi, zeta
+
+
+_ASY_POS_POINTS = [
+    np.linspace(9.5, 200.0, 20_001),
+    np.linspace(9.5, 9.6, 2_001),
+    np.array([9.5, np.nextafter(9.5, 10.0), 1e5, 1e8]),
+]
+
+
+@pytest.mark.parametrize("x", _ASY_POS_POINTS, ids=["sweep", "seam", "edges"])
+def test_asy_pos_early_stop_is_bit_identical(x):
+    # batched and one point at a time: the stop rule reads the batch's largest term
+    for got, want in zip(airy._asy_pos_scaled(x), _masked_asy_pos_scaled(x)):
+        assert got.tobytes() == want.tobytes()
+    for xi in x[:: max(1, x.size // 200)]:
+        one = np.array([xi])
+        for got, want in zip(airy._asy_pos_scaled(one), _masked_asy_pos_scaled(one)):
+            assert got.tobytes() == want.tobytes(), xi
+
+
+class _CountingRows:
+    def __init__(self, rows):
+        self.rows = rows
+        self.pulled = 0
+
+    def __iter__(self):
+        for row in self.rows:
+            self.pulled += 1
+            yield row
+
+
+def test_asy_pos_runs_at_most_25_terms(monkeypatch):
+    for x in np.concatenate([[9.5, np.nextafter(9.5, 10.0)], np.geomspace(9.5, 1e8, 60)]):
+        rows = _CountingRows(airy._ASY_POS_COEF)
+        monkeypatch.setattr(airy, "_ASY_POS_COEF", rows)
+        airy._asy_pos_scaled(np.array([x]))
+        assert 1 <= rows.pulled <= 25, (x, rows.pulled)

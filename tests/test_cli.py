@@ -126,6 +126,23 @@ def test_bad_input_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spaced,glued", [
+    (["--coupling", "0.6,0.2,0.2,0.5", "--shifts", "-0.15,0.15"],
+     ["--coupling", "0.6,0.2,0.2,0.5", "--shifts=-0.15,0.15"]),
+    (["--coupling", "-0.5,0.1,0.1,-0.4", "--coupling-im", "-0,-0.1,0.1,0", "--shifts", "-0.2,0.1",
+      "--route", "nystrom"],
+     ["--coupling=-0.5,0.1,0.1,-0.4", "--coupling-im=-0,-0.1,0.1,0", "--shifts=-0.2,0.1",
+      "--route", "nystrom"]),
+])
+def test_list_option_value_may_start_with_minus(capsys, spaced, glued):
+    # argparse alone reads "-0.15,0.15" as an option name and exits 2
+    code, out, err = _run(["det", "--r", "2", *spaced], capsys)
+    assert code == 0, err
+    code_eq, out_eq, _ = _run(["det", "--r", "2", *glued], capsys)
+    assert code_eq == 0
+    assert out == out_eq
+
+
 def test_det_routes_disagree_exit_one(capsys):
     # at c = 1, S = -4 the Nystrom value is unconverged and the routes
     # differ by more than the default tol
