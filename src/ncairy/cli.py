@@ -9,15 +9,17 @@ byte-identical across runs for identical configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DomainError, NcairyError, PoleEncountered
+from .errors import DomainError, NcairyError, OutOfRange, PoleEncountered
 from .fredholm import nystrom_det_contour
 from .kernels import CouplingMatrix, ShiftVector
 from .ncp2 import hm_solve
@@ -53,13 +55,30 @@ class RunConfig:
         return CouplingMatrix(re + 1j * im)
 
 
-def load_config(path: str) -> dict:
-    """Parse key = value lines; '#' starts a comment; lists are comma-split.
+_DEFAULTS = vars(RunConfig())   # field name -> default value
+# flag of each list setting -> its RunConfig field (a field name is also its config key)
+_LIST_FLAGS = {"--shifts": "shifts", "--coupling": "coupling_re", "--coupling-im": "coupling_im"}
 
-    Each key must be a RunConfig field, and its value is parsed as the type
-    of that field's default.
+
+def _parse_value(key: str, text):
+    """Parse a config value or flag as the type of RunConfig field ``key``.
+
+    A list is comma-separated floats, and an empty item is an error.  Flags of
+    scalar fields arrive already converted to that type by argparse.
     """
-    defaults = vars(RunConfig())   # field name -> default value
+    if not isinstance(_DEFAULTS[key], list):
+        return type(_DEFAULTS[key])(text)
+    items = text.split(",")
+    if not all(v.strip() for v in items):
+        raise ValueError(f"empty item in {key} list: {text}")
+    return [float(v) for v in items]
+
+
+def load_config(path: str) -> dict:
+    """Parse key = value lines; '#' starts a comment.
+
+    Each key must be a RunConfig field, and its value is parsed by _parse_value.
+    """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -69,32 +88,38 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"malformed config line: {raw.rstrip()}")
             key, val = (p.strip() for p in line.split("=", 1))
-            if key not in defaults:
+            if key not in _DEFAULTS:
                 raise ValueError(f"unknown config key: {key}")
-            if isinstance(defaults[key], list):
-                out[key] = [float(v) for v in val.split(",") if v.strip()]
-            else:
-                out[key] = type(defaults[key])(val)
+            out[key] = _parse_value(key, val)
     return out
 
 
-def _unsigned_zero(x) -> float:
-    """float(x) with -0.0 turned into 0.0.
+def _cell(x):
+    """One output cell as a plain bool, int, float or str; complex as {"re", "im"}.
 
-    The sign of an exact zero depends on the order of solves that share the
-    grid cache, so it must not reach the byte-identical output.
+    An exact zero prints unsigned: its sign depends on the order of solves that
+    share the grid cache, so it must not reach the byte-identical output.
     """
-    return float(x) + 0.0
-
-
-def _fmt(x) -> str:
+    if isinstance(x, (complex, np.complexfloating)):
+        return {"re": _cell(x.real), "im": _cell(x.imag)}
     if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
+        return bool(x)
     if isinstance(x, (int, np.integer)):
-        return str(int(x))
+        return int(x)
     if isinstance(x, (float, np.floating)):
-        return "%.12e" % _unsigned_zero(x)
-    return str(x)
+        return float(x) + 0.0
+    return x
+
+
+def _csv_row(row: dict) -> dict:
+    """CSV columns of an encoded row: a complex cell gives a re_ and an im_ column."""
+    flat = {}
+    for key, val in row.items():
+        if isinstance(val, dict):
+            flat.update({f"{part}_{key}": v for part, v in val.items()})
+        else:
+            flat[key] = val
+    return flat
 
 
 def write_table(records, fmt: str, stream) -> None:
@@ -103,72 +128,41 @@ def write_table(records, fmt: str, stream) -> None:
     Complex values expand to re_/im_ column pairs in CSV and to
     {"re": ..., "im": ...} objects in JSON.
     """
-    if fmt == "csv":
-        if not records:
-            stream.write("\n")
-            return
-        cols = []
-        for key, val in records[0].items():
-            if isinstance(val, (complex, np.complexfloating)):
-                cols.extend([("re_" + key, key, "re"), ("im_" + key, key, "im")])
-            else:
-                cols.append((key, key, None))
-        stream.write(",".join(c[0] for c in cols) + "\n")
-        for rec in records:
-            cells = []
-            for _, key, part in cols:
-                val = rec[key]
-                if part == "re":
-                    cells.append(_fmt(float(np.real(val))))
-                elif part == "im":
-                    cells.append(_fmt(float(np.imag(val))))
-                else:
-                    cells.append(_fmt(val))
-            stream.write(",".join(cells) + "\n")
-    elif fmt == "json":
-        def enc(val):
-            if isinstance(val, (complex, np.complexfloating)):
-                return {"re": _unsigned_zero(np.real(val)), "im": _unsigned_zero(np.imag(val))}
-            if isinstance(val, (np.integer,)):
-                return int(val)
-            if isinstance(val, (float, np.floating)):
-                return _unsigned_zero(val)
-            if isinstance(val, (np.bool_, bool)):
-                return bool(val)
-            return val
-
-        stream.write(json.dumps([{k: enc(v) for k, v in r.items()} for r in records],
-                                indent=2, sort_keys=False))
-        stream.write("\n")
-    else:
+    rows = [{k: _cell(v) for k, v in rec.items()} for rec in records]
+    if fmt == "json":
+        stream.write(json.dumps(rows, indent=2) + "\n")
+        return
+    if fmt != "csv":
         raise ValueError(f"unknown output format: {fmt}")
+    rows = [_csv_row(row) for row in rows]
+    stream.write(",".join(rows[0]) + "\n" if rows else "\n")
+    for row in rows:
+        cells = ("%.12e" % v if isinstance(v, float) else str(v).lower() if isinstance(v, bool)
+                 else str(v) for v in row.values())
+        stream.write(",".join(cells) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # a dest that names a RunConfig field sets that field
     p = argparse.ArgumentParser(prog="ncairy")
-    p.add_argument("command", choices=["det", "hm-solve", "f1", "f2", "scan", "verify"])
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--r", type=int)
-    p.add_argument("--shifts", type=str)
-    p.add_argument("--coupling", type=str)
-    p.add_argument("--coupling-im", dest="coupling_im", type=str)
+    for flag, key in _LIST_FLAGS.items():
+        p.add_argument(flag, dest=key, metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--kind", choices=["airy", "airy2", "contour"], default="airy2")
     p.add_argument("--sign", type=int, choices=[1, -1], default=-1)
     p.add_argument("--route", choices=["nystrom", "painleve", "both"], default="both")
     p.add_argument("--from", dest="xfrom", type=float, default=-4.0)
     p.add_argument("--to", dest="xto", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--s0", type=float)
+    p.add_argument("--nodes", dest="quad_nodes", metavar="NODES", type=int)
+    p.add_argument("--s0", dest="hm_s0", metavar="S0", type=float)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"])
+    p.add_argument("--format", dest="output_format", choices=["csv", "json"])
     p.add_argument("--seed", type=int)
     p.add_argument("--config", type=str)
     p.add_argument("--out", type=str)
     return p
-
-
-# options whose value is a comma list that may start with a minus, e.g. --shifts -0.15,0.15
-_LIST_OPTIONS = ("--shifts", "--coupling", "--coupling-im")
 
 
 def _attach_list_values(argv) -> list:
@@ -180,33 +174,19 @@ def _attach_list_values(argv) -> list:
     out = []
     it = iter(argv)
     for arg in it:
-        val = next(it, None) if arg in _LIST_OPTIONS else None
+        val = next(it, None) if arg in _LIST_FLAGS else None
         out.append(arg if val is None else f"{arg}={val}")
     return out
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
     path = args.config or os.environ.get("NCAIRY_CONFIG")
-    if path:
-        for key, val in load_config(path).items():
-            setattr(cfg, key, val)
-    if args.r is not None:
-        cfg.r = args.r
-    if args.shifts is not None:
-        cfg.shifts = [float(v) for v in args.shifts.split(",")]
-    if args.coupling is not None:
-        cfg.coupling_re = [float(v) for v in args.coupling.split(",")]
-    if args.coupling_im is not None:
-        cfg.coupling_im = [float(v) for v in args.coupling_im.split(",")]
-    if args.nodes is not None:
-        cfg.quad_nodes = args.nodes
-    if args.s0 is not None:
-        cfg.hm_s0 = args.s0
-    if args.fmt is not None:
-        cfg.output_format = args.fmt
-    if args.seed is not None:
-        cfg.seed = args.seed
+    values = load_config(path) if path else {}
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
+        if flag is not None:
+            values[f.name] = _parse_value(f.name, flag)
+    cfg = RunConfig(**values)
     if len(cfg.shifts) != cfg.r and len(cfg.shifts) == 1:
         cfg.shifts = cfg.shifts * cfg.r
     if len(cfg.shifts) != cfg.r:
@@ -223,6 +203,8 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
     c = cfg.coupling()
     q = GapQuery(s, c, args.route, args.tol)   # validates --tol for every kind
     if args.kind == "contour":
+        if args.route == "painleve":
+            raise DomainError("det --kind contour has no --route painleve")
         d = nystrom_det_contour(s, c, float(args.sign), m_per_ray=cfg.quad_nodes)
         rec = {"kind": "contour", "sign": args.sign, "value": complex(d.value),
                "log_abs": d.log_abs, "nodes_used": d.nodes_used,
@@ -244,8 +226,8 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
     return [rec], 1 if res.agree is False else 0
 
 
-def _n_steps(args) -> int:
-    """Number of --step intervals from --from to --to; all three must be finite.
+def _points(args) -> list:
+    """The table abscissae --from, --from + --step, ... up to --to; all must be finite.
 
     --to may equal --from (one row) but not lie below it.
     """
@@ -256,54 +238,56 @@ def _n_steps(args) -> int:
         raise DomainError("--from and --to must be finite")
     if n < 0.0:
         raise DomainError("--to must not lie below --from")
-    return int(round(n))
+    return [args.xfrom + k * args.step for k in range(int(round(n)) + 1)]
 
 
 def _cmd_hm_solve(cfg: RunConfig, args) -> tuple[list, int]:
     s = cfg.shift_vector()
     c = cfg.coupling()
-    n_steps = _n_steps(args)
+    xs = _points(args)
     try:
         grid = hm_solve(c, s.delta, S_min=args.xfrom, h=cfg.hm_step, s0=cfg.hm_s0)
     except PoleEncountered as exc:
         grid = exc.grid
+        print(f"# pole at S = {exc.pole_at:.6f}", file=sys.stderr)
+    ij = [(i, j, f"{i + 1}{j + 1}") for i, j in np.ndindex(cfg.r, cfg.r)]
     records = []
-    r = cfg.r
-    for k in range(n_steps + 1):
-        sv = args.xfrom + k * args.step
-        if sv < grid.S_values[0] - 1e-12 or sv > grid.S_values[-1] + 1e-12:
+    for sv in xs:
+        try:
+            b, db = grid.beta1_at(sv), grid.dbeta1_at(sv)
+        except OutOfRange:   # below a pole, or above the grid
             continue
-        b = grid.beta1_at(sv)
-        db = grid.dbeta1_at(sv)
-        rec = {"S": sv}
-        for i in range(r):
-            for j in range(r):
-                rec[f"b_{i + 1}{j + 1}"] = complex(b[i, j])
-        for i in range(r):
-            for j in range(r):
-                rec[f"db_{i + 1}{j + 1}"] = complex(db[i, j])
-        records.append(rec)
+        records.append({"S": sv, **{f"b_{n}": complex(b[i, j]) for i, j, n in ij},
+                        **{f"db_{n}": complex(db[i, j]) for i, j, n in ij}})
     return records, 0
 
 
-def _cmd_scalar(cfg: RunConfig, args, which: str) -> tuple[list, int]:
-    records = []
-    n_steps = _n_steps(args)
-    fn = scalar_f1 if which == "f1" else scalar_f2
-    for k in range(n_steps + 1):
-        x = args.xfrom + k * args.step
-        records.append({"x": x, which.upper(): fn(x)})
-    return records, 0
+def _cmd_scalar(cfg: RunConfig, args) -> tuple[list, int]:
+    fn = scalar_f1 if args.command == "f1" else scalar_f2
+    return [{"x": x, args.command.upper(): fn(x)} for x in _points(args)], 0
 
 
 def _cmd_scan(cfg: RunConfig, args) -> tuple[list, int]:
     c = cfg.coupling()
-    n = max(_n_steps(args) + 1, 2)
+    n = max(len(_points(args)), 2)
     samples, crossing = existence_scan(c, args.xfrom, args.xto, n=n, m=cfg.quad_nodes)
     records = [{"s": sv, "det": dv} for sv, dv in samples]
     if crossing is not None:
         print(f"# zero crossing at s = {crossing:.6f}", file=sys.stderr)
     return records, 0
+
+
+def _cmd_verify(cfg: RunConfig, args) -> tuple[str, int]:
+    # imported here: no other command needs the check registry
+    from . import verify
+
+    lines = io.StringIO()
+    failures = verify.run_all(seed=cfg.seed, stream=lines)
+    return lines.getvalue(), 1 if failures else 0
+
+
+_COMMANDS = {"det": _cmd_det, "hm-solve": _cmd_hm_solve, "f1": _cmd_scalar, "f2": _cmd_scalar,
+             "scan": _cmd_scan, "verify": _cmd_verify}
 
 
 def run_command(argv) -> int:
@@ -318,30 +302,16 @@ def run_command(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "verify":
-            # imported here: no other command needs the check registry
-            from . import verify
-
-            failures = verify.run_all(seed=cfg.seed, stream=sys.stdout)
-            return 1 if failures else 0
-        if args.command == "det":
-            records, code = _cmd_det(cfg, args)
-        elif args.command == "hm-solve":
-            records, code = _cmd_hm_solve(cfg, args)
-        elif args.command in ("f1", "f2"):
-            records, code = _cmd_scalar(cfg, args, args.command)
-        elif args.command == "scan":
-            records, code = _cmd_scan(cfg, args)
-        else:
-            return 2
+        result, code = _COMMANDS[args.command](cfg, args)
     except NcairyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_table(records, cfg.output_format, fh)
-    else:
-        write_table(records, cfg.output_format, sys.stdout)
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as stream:
+        if isinstance(result, str):   # verify's PASS/FAIL lines
+            stream.write(result)
+        else:
+            write_table(result, cfg.output_format, stream)
     return code
 
 

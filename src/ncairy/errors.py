@@ -28,9 +28,11 @@ class OutOfRange(NcairyError):
 class PoleEncountered(NcairyError):
     """The matrix Painleve II solution blew up during continuation.
 
-    Carries the bracketed blow-up location; the grid above it stays valid.
+    Carries the bracketed blow-up location and the grid above it, which
+    stays valid.
     """
 
-    def __init__(self, pole_at: float, message: str | None = None):
+    def __init__(self, pole_at: float, grid):
         self.pole_at = pole_at
-        super().__init__(message or f"solution blow-up detected near S = {pole_at:.6f}")
+        self.grid = grid
+        super().__init__(f"solution blow-up detected near S = {pole_at:.6f}")

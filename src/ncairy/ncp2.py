@@ -415,9 +415,8 @@ def hm_continue(tail: PicardTail, S_min: float) -> HMGrid:
     db_all = np.concatenate([ys[done:0:-1, 1], tail.dbeta])
     grid = HMGrid(tail.C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
     if pole_at is not None:
-        err = PoleEncountered(pole_at)
-        err.grid = grid
-        raise err
+        # no local names the exception: its traceback holds this frame and the RK4 buffers
+        raise PoleEncountered(pole_at, grid)
     return grid
 
 

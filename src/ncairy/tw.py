@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airy import ai_arrays
-from .errors import DomainError, OutOfRange, PoleEncountered
+from .errors import DomainError, OutOfRange
 from .fredholm import DetResult, half_line_cutoff, half_line_rule, nystrom_det
 from .kernels import (CouplingMatrix, ShiftVector, matrix_airy_kernel,
                       matrix_airy_sq_kernel)
@@ -28,7 +28,9 @@ __all__ = [
     "det_airy",
     "scalar_f2",
     "scalar_f1",
+    "scalar_u",
     "scalar_w_checks",
+    "p34_scalar_residual",
     "miura_residual",
     "total_positivity_check",
     "de_bruijn_check",

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, serialization, determinism, exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -143,6 +144,51 @@ def test_list_option_value_may_start_with_minus(capsys, spaced, glued):
     assert out == out_eq
 
 
+# (RunConfig field, its flag, a value other than the default, the rest of the argv)
+_FIELD_FLAG_CASES = [
+    ("r", "--r", "2", ["det", "--route", "nystrom", "--coupling", "0.6,0.2,0.2,0.5"]),
+    ("shifts", "--shifts", "-0.3", ["det", "--route", "nystrom"]),
+    ("coupling_re", "--coupling", "0.8", ["det", "--route", "nystrom"]),
+    ("coupling_im", "--coupling-im", "0.1", ["det", "--route", "nystrom"]),
+    ("quad_nodes", "--nodes", "12", ["det", "--kind", "contour"]),
+    ("hm_s0", "--s0", "3", ["hm-solve", "--from", "0", "--to", "1"]),
+    ("output_format", "--format", "json", ["f2", "--from", "0", "--to", "1"]),
+    ("seed", "--seed", "3", ["verify"]),
+]
+
+
+@pytest.mark.parametrize("key,flag,value,argv", _FIELD_FLAG_CASES,
+                         ids=[c[0] for c in _FIELD_FLAG_CASES])
+def test_flag_and_config_key_give_same_output(tmp_path, capsys, monkeypatch,
+                                              key, flag, value, argv):
+    # verify's only setting is the seed: one check that prints a draw stands in for the suite
+    monkeypatch.setattr(verify, "CHECKS", [("draw", lambda rng: (True, f"{rng.random():.17g}"))])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_flag = _run([*argv, flag, value], capsys)
+    by_file = _run([*argv, "--config", str(cfg)], capsys)
+    assert by_flag == by_file and by_flag[0] == 0
+    assert by_flag != _run(argv, capsys)
+
+
+def test_every_flag_field_is_covered():
+    parser_dests = {a.dest for a in cli._build_parser()._actions}
+    flag_fields = [f.name for f in dataclasses.fields(RunConfig) if f.name in parser_dests]
+    assert sorted(flag_fields) == sorted(c[0] for c in _FIELD_FLAG_CASES)
+
+
+@pytest.mark.parametrize("key,flag", [("shifts", "--shifts"), ("coupling_re", "--coupling"),
+                                      ("coupling_im", "--coupling-im")])
+@pytest.mark.parametrize("value", ["0,", "1,,2", ""], ids=["trailing", "inner", "empty"])
+def test_empty_list_item_exit_two(tmp_path, capsys, key, flag, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for argv in (["det", f"{flag}={value}"], ["det", "--config", str(cfg)]):
+        code, out, err = _run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: empty item in {key} list: {value}\n"
+
+
 def test_det_routes_disagree_exit_one(capsys):
     # at c = 1, S = -4 the Nystrom value is unconverged and the routes
     # differ by more than the default tol
@@ -211,6 +257,25 @@ def test_hm_solve_tail_start_past_overflow_exit_two(capsys):
     code, out, _ = _run(["hm-solve", "--s0", "44", "--from", "44", "--to", "45",
                          "--step", "0.5"], capsys)
     assert code == 0 and len(out.splitlines()) == 4
+
+
+def test_hm_solve_reports_pole_that_cuts_table(capsys):
+    code, out, err = _run(["hm-solve", "--coupling", "1.5", "--from", "-3", "--to", "0",
+                           "--step", "0.5"], capsys)
+    assert code == 0
+    rows = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert rows == [-0.5, 0.0]
+    assert err.startswith("# pole at S = ") and err.endswith("\n")
+    pole = float(err[len("# pole at S = "):])
+    assert -1.0 < pole < -0.5 and err == f"# pole at S = {pole:.6f}\n"
+
+
+def test_det_contour_painleve_route_exit_two(capsys):
+    code, out, err = _run(["det", "--kind", "contour", "--route", "painleve"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: det --kind contour has no --route painleve\n"
+    code, out, _ = _run(["det", "--kind", "contour", "--route", "nystrom"], capsys)
+    assert code == 0 and out.startswith("kind,sign,re_value,")
 
 
 def test_f2_above_grid_exit_two(capsys):
@@ -336,6 +401,14 @@ def test_verify_reports_failing_and_raising_checks(monkeypatch, capsys):
     assert code == 1
     assert out.splitlines() == ["FAIL fails (off by 1)",
                                 "FAIL raises (raised ValueError: broken check)"]
+
+
+def test_verify_out_writes_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(verify, "CHECKS", [("fails", lambda rng: (False, "off by 1"))])
+    path = tmp_path / "verify.txt"
+    code, out, err = _run(["verify", "--out", str(path)], capsys)
+    assert (code, out, err) == (1, "", "")
+    assert path.read_text() == "FAIL fails (off by 1)\n"
 
 
 def test_run_config_defaults():

@@ -1,8 +1,10 @@
 """Matrix Hastings-McLeod solver: Picard tail, RK4 continuation, Lax pair."""
 
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -172,6 +174,20 @@ def test_supercritical_pole_detection():
     grid = exc.value.grid
     assert grid.S_values[0] > pole
     assert np.isfinite(grid.beta1).all()
+
+
+def test_pole_frees_its_grid_without_cyclic_gc():
+    # a traceback frame that names the exception would keep the exception, the
+    # grid and the RK4 buffers alive until the next cyclic collection
+    gc.disable()
+    try:
+        try:
+            hm_solve(CouplingMatrix(np.array([[1.5]])), [0.0], S_min=-3.0, cached=False)
+        except PoleEncountered as exc:
+            grid = weakref.ref(exc.grid)
+        assert grid() is None
+    finally:
+        gc.enable()
 
 
 def test_alpha1_antiderivative(grid1):
