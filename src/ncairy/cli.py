@@ -58,6 +58,7 @@ class RunConfig:
 _DEFAULTS = vars(RunConfig())   # field name -> default value
 # flag of each list setting -> its RunConfig field (a field name is also its config key)
 _LIST_FLAGS = {"--shifts": "shifts", "--coupling": "coupling_re", "--coupling-im": "coupling_im"}
+_FORMATS = ("csv", "json")
 
 
 def _parse_value(key: str, text):
@@ -158,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", dest="quad_nodes", metavar="NODES", type=int)
     p.add_argument("--s0", dest="hm_s0", metavar="S0", type=float)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--format", dest="output_format", choices=["csv", "json"])
+    p.add_argument("--format", dest="output_format", choices=_FORMATS)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", type=str)
     p.add_argument("--out", type=str)
@@ -187,6 +188,8 @@ def _config_from_args(args) -> RunConfig:
         if flag is not None:
             values[f.name] = _parse_value(f.name, flag)
     cfg = RunConfig(**values)
+    if cfg.output_format not in _FORMATS:
+        raise ValueError(f"unknown output format: {cfg.output_format}")
     if len(cfg.shifts) != cfg.r and len(cfg.shifts) == 1:
         cfg.shifts = cfg.shifts * cfg.r
     if len(cfg.shifts) != cfg.r:
@@ -306,12 +309,16 @@ def run_command(argv) -> int:
     except NcairyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-          else contextlib.nullcontext(sys.stdout)) as stream:
-        if isinstance(result, str):   # verify's PASS/FAIL lines
-            stream.write(result)
-        else:
-            write_table(result, cfg.output_format, stream)
+    try:
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as stream:
+            if isinstance(result, str):   # verify's PASS/FAIL lines
+                stream.write(result)
+            else:
+                write_table(result, cfg.output_format, stream)
+    except OSError as exc:   # exit 1 would read as a failed check or disagreeing routes
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -16,7 +16,7 @@ per-matrix RK4 formulas.  Auxiliary quantities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -373,7 +373,7 @@ def _blown(b: np.ndarray) -> bool:
     return not (np.abs(b).max() <= _BLOWUP)
 
 
-def hm_continue(tail: PicardTail, S_min: float) -> HMGrid:
+def hm_continue(tail: PicardTail | HMGrid, S_min: float) -> HMGrid:
     """Continue the tail solution leftward by RK4 with the tail's step h.
 
     The tail's samples populate the grid from its start S0 up.  The steps
@@ -385,17 +385,27 @@ def hm_continue(tail: PicardTail, S_min: float) -> HMGrid:
     pole_at marks where the RK4 trajectory blows up, which is first-order
     accurate in h: for c = 1.2 it reads -1.14503 at h = 1e-3, against the
     true pole at -1.1443185.
+
+    tail may also be a pole-free grid.  The steps then go on from its left
+    node with the node indices of a solve from its tail start, and _rk4
+    reads only that node's (beta1, Dbeta1), so the result is bit for bit the
+    grid that one continuation from the tail gives.
     """
-    delta, h, s0 = tail.delta, tail.h, tail.S0
-    s_up = s0 + h * np.arange(tail.beta.shape[0])
-    n_down = max(int(round((s0 - S_min) / h)), 0)
-    s = s0 - np.arange(n_down) * h
+    if isinstance(tail, HMGrid):
+        s0, n_have = tail.S_tail, _depth(tail)
+        s_up, b_up, db_up = tail.S_values, tail.beta1, tail.dbeta1
+    else:
+        s0, n_have = tail.S0, 0
+        s_up, b_up, db_up = tail.S0 + tail.h * np.arange(tail.beta.shape[0]), tail.beta, tail.dbeta
+    delta, h = tail.delta, tail.h
+    n_down = max(int(round((s0 - S_min) / h)), n_have)
+    s = s0 - np.arange(n_have, n_down) * h
     shifts = np.stack([s, s + 0.5 * -h, s - h], axis=1)[:, :, None] + delta
-    ys = np.empty((n_down + 1, 3) + tail.beta.shape[1:], dtype=complex)
-    ys[0, 0], ys[0, 1] = tail.beta[0], tail.dbeta[0]
+    ys = np.empty((n_down - n_have + 1, 3) + b_up.shape[1:], dtype=complex)
+    ys[0, 0], ys[0, 1] = b_up[0], db_up[0]
     done = _rk4(ys, shifts, -h)
     pole_at = None
-    if done < n_down:
+    if done < s.size:
         s_cur = float(s[done])
         lo, hi = s_cur - h, s_cur
         bb, dbb = ys[done, 0], ys[done, 1]
@@ -411,8 +421,8 @@ def hm_continue(tail: PicardTail, S_min: float) -> HMGrid:
                 lo = hi - step
         pole_at = 0.5 * (lo + hi)
     s_all = np.concatenate([(s[:done] - h)[::-1], s_up])
-    b_all = np.concatenate([ys[done:0:-1, 0], tail.beta])
-    db_all = np.concatenate([ys[done:0:-1, 1], tail.dbeta])
+    b_all = np.concatenate([ys[done:0:-1, 0], b_up])
+    db_all = np.concatenate([ys[done:0:-1, 1], db_up])
     grid = HMGrid(tail.C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
     if pole_at is not None:
         # no local names the exception: its traceback holds this frame and the RK4 buffers
@@ -420,8 +430,13 @@ def hm_continue(tail: PicardTail, S_min: float) -> HMGrid:
     return grid
 
 
+def _depth(grid: HMGrid) -> int:
+    """The number of continuation nodes below the grid's tail start."""
+    return round((grid.S_tail - grid.S_values[0]) / grid.h)
+
+
 _GRID_CACHE: dict = {}
-_GRID_CACHE_SIZE = 32  # solved grids kept by hm_solve, least recently used evicted
+_GRID_CACHE_SIZE = 32  # grids kept by hm_solve, least recently used evicted
 
 
 def _cache_put(key, grid: HMGrid) -> None:
@@ -429,6 +444,46 @@ def _cache_put(key, grid: HMGrid) -> None:
     _GRID_CACHE[key] = grid
     while len(_GRID_CACHE) > _GRID_CACHE_SIZE:
         del _GRID_CACHE[next(iter(_GRID_CACHE))]
+
+
+def _from_cache(C: CouplingMatrix, config: tuple, S_min: float) -> HMGrid | None:
+    """The answer to a request that misses the cache, from a grid of the same solver
+    configuration for C or -C, or None when there is none.
+
+    The source is a pole grid, or else the deepest grid.  The answer is a
+    slice of it when it reaches S_min, the grid continued to S_min when it
+    does not, or (when it stopped at a pole above S_min) the pole grid
+    itself, with pole_at set.
+    """
+    plus = (C.entries + 0.0).tobytes()
+    minus = (-C.entries + 0.0).tobytes()
+    best = None
+    for key, grid in _GRID_CACHE.items():
+        if key[2:] == config and key[0] in (plus, minus):
+            rank = (math.inf if grid.pole_at is not None else _depth(grid), key[0] == plus)
+            if best is None or rank > best[0]:
+                best = (rank, key, grid)
+    if best is None:
+        return None
+    (_, same), key, grid = best
+    _cache_put(key, _GRID_CACHE.pop(key))   # the source is the most recently used too
+    if not same:
+        grid = replace(grid, C=C, beta1=-grid.beta1, dbeta1=-grid.dbeta1)
+    k = _depth(grid) - max(round((grid.S_tail - S_min) / grid.h), 0)
+    if k >= 0:   # the nodes from k up, as views
+        return replace(grid, C=C, S_values=grid.S_values[k:], beta1=grid.beta1[k:],
+                       dbeta1=grid.dbeta1[k:], pole_at=None)
+    return grid if grid.pole_at is not None else hm_continue(grid, S_min)
+
+
+def _tail(C: CouplingMatrix, delta: np.ndarray, s0: float, h: float) -> PicardTail:
+    """hm_tail_picard from s0, with the start raised by 0.5 (at most four times) on NoContraction."""
+    for attempt in range(5):
+        try:
+            return hm_tail_picard(C, delta, s0 + 0.5 * attempt, h)
+        except NoContraction as exc:
+            last_exc = exc
+    raise last_exc
 
 
 def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
@@ -440,14 +495,25 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     or the next one up where the nearest lies below 1 + max|delta|, so query
     points that are multiples of h land exactly on grid nodes.
 
-    The cache keeps the 32 most recently used grids, keyed on the full
-    solver configuration.  The equation is odd in beta1 and the Airy seed
-    is linear in C, so beta1(-C) = -beta1(C), and every step of the solve
-    preserves this exactly, since rounding is symmetric in sign (only the
-    sign of an exact zero can differ).  A -C grid is therefore served as the
-    exact negation of a cached +C grid, with no Picard or RK4 work.
-    cached=False neither reads nor writes the cache.  A non-finite s0 or a
-    step outside 0 < h <= 1e-2 raises DomainError before any work.
+    The cache keeps the 32 most recently used grids, each under its request
+    (C, delta, S_min, h, s0).  A request that misses is served from any
+    cached grid of the same solver configuration (C, delta, h, s0); only
+    S_min differs, and neither the Picard tail nor the retried tail start
+    depends on it.  Node i below the tail start is S_tail - i h for every
+    S_min, so a shallower request is a slice of a deeper grid (views), and
+    a deeper one continues RK4 from the cached left node with the same node
+    indices.  A grid that stopped at a pole is cached too: it serves every
+    S_min down to its last good node as a slice, and below it raises the
+    PoleEncountered that a fresh solve raises.  Each answer is cached under
+    its request, and is bit for bit that of a fresh solve.
+
+    The equation is odd in beta1 and the Airy seed is linear in C, so
+    beta1(-C) = -beta1(C), and every step of the solve preserves this
+    exactly, since rounding is symmetric in sign (only the sign of an exact
+    zero can differ).  A grid for -C therefore serves C as its exact
+    negation, in each of the cases above.  cached=False neither reads nor
+    writes the cache.  A non-finite s0 or a step outside 0 < h <= 1e-2
+    raises DomainError before any work.
     """
     if not math.isfinite(s0):
         raise DomainError("tail start s0 must be finite")
@@ -459,29 +525,22 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     if k * h < 1.0 + m:  # the nearest multiple of h fell below the tail's domain
         k += 1
     s0 = k * h
+    if not cached:
+        return hm_continue(_tail(C, delta, s0, h), S_min)
     # adding 0.0 turns -0.0 into +0.0, so the sign of a zero entry splits no key
-    rest = ((delta + 0.0).tobytes(), float(S_min), float(h), s0)
-    key = ((C.entries + 0.0).tobytes(),) + rest
-    if cached:
-        grid = _GRID_CACHE.pop(key, None)
-        mirror = _GRID_CACHE.get(((-C.entries + 0.0).tobytes(),) + rest)
-        if grid is None and mirror is not None:
-            grid = HMGrid(C, delta, mirror.S_values, -mirror.beta1, -mirror.dbeta1,
-                          mirror.S_tail, mirror.h, mirror.pole_at)
-        if grid is not None:
-            _cache_put(key, grid)   # (re)inserted as the most recently used
-            return grid
-    last_exc = None
-    for attempt in range(5):
+    config = ((delta + 0.0).tobytes(), float(h), s0)
+    key = ((C.entries + 0.0).tobytes(), float(S_min)) + config
+    grid = _GRID_CACHE.pop(key, None)
+    if grid is None:
         try:
-            tail = hm_tail_picard(C, delta, s0 + 0.5 * attempt, h)
-            grid = hm_continue(tail, S_min)
-            if cached:
-                _cache_put(key, grid)
-            return grid
-        except NoContraction as exc:
-            last_exc = exc
-    raise last_exc
+            grid = _from_cache(C, config, S_min) or hm_continue(_tail(C, delta, s0, h), S_min)
+        except PoleEncountered as exc:
+            _cache_put(key, exc.grid)
+            raise
+    _cache_put(key, grid)   # (re)inserted as the most recently used
+    if grid.pole_at is not None:
+        raise PoleEncountered(grid.pole_at, grid)
+    return grid
 
 
 def alpha1(grid: HMGrid, S: float) -> np.ndarray:

@@ -292,6 +292,24 @@ def test_hm_step_zero_exit_two(tmp_path, capsys):
     assert err.startswith("error: continuation step")
 
 
+def test_config_output_format_checked_before_run(monkeypatch, tmp_path, capsys):
+    def refuse(*a):
+        raise AssertionError("command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "det", refuse)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_format = xml\n")
+    code, out, err = _run(["det", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", "error: unknown output format: xml\n")
+
+
+def test_out_in_missing_directory_exit_two(tmp_path, capsys):
+    path = tmp_path / "nodir" / "x.csv"
+    code, out, err = _run(["f2", "--from", "0", "--to", "0", "--out", str(path)], capsys)
+    assert code == 2 and out == "" and not path.exists()
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 def test_removed_cutoff_flag_exit_two(capsys):
     code, _, err = _run(["det", "--cutoff", "30"], capsys)
     assert code == 2
@@ -359,23 +377,23 @@ def test_hm_solve_output_independent_of_solve_order(monkeypatch, capsys):
     assert fresh == mirrored
 
 
-def test_hm_solve_opposite_signs_share_one_solve(monkeypatch, capsys):
+def test_hm_solve_opposite_signs_share_one_solve(fresh_cache, solve_counter, capsys):
     # a coupling typed with either sign has +0.0 imaginary parts, while the
     # negation of the other sign carries -0.0: the mirror must still be found
-    monkeypatch.setattr(ncp2, "_GRID_CACHE", {})
-    calls = []
-    picard = ncp2.hm_tail_picard
-
-    def counting(*a, **k):
-        calls.append(a)
-        return picard(*a, **k)
-
-    monkeypatch.setattr(ncp2, "hm_tail_picard", counting)
     args = ["hm-solve", "--r", "2", "--shifts", "0,0.3", "--from", "1", "--to", "2",
             "--step", "0.25"]
     assert _run(args + ["--coupling", "0.6,0.2,0.2,0.5"], capsys)[0] == 0
     assert _run(args + ["--coupling=-0.6,-0.2,-0.2,-0.5"], capsys)[0] == 0
-    assert len(calls) == 1
+    assert len(solve_counter) == 1
+
+
+def test_det_table_shift_pattern_solves_once(fresh_cache, solve_counter, capsys):
+    # S = -2 and S = 2 give byte-identical offsets, and the S = 2 row asks
+    # for a shallower S_min: a slice of the S = -2 grid
+    args = ["det", "--r", "2", "--coupling", "0.6,0.2,0.2,0.5", "--route", "painleve"]
+    for shifts in ("-2.15,-1.85", "1.85,2.15"):
+        assert _run(args + ["--shifts=" + shifts], capsys)[0] == 0
+    assert len(solve_counter) == 1
 
 
 def test_det_contour_honours_nodes(monkeypatch, capsys):

@@ -24,13 +24,16 @@ from ncairy import (
     ncp2_residual,
     p34_state,
 )
-from ncairy import ncp2
+from ncairy import GapQuery, det_airy_sq, ncp2
 from ncairy.airy import airy_arrays
 from ncairy.ncp2 import _blown, _matcube, _reverse_cumulative, _rk4, _rk4_step
 
 C1 = CouplingMatrix(np.array([[1.0]]))
 C2 = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
 D2 = [0.0, 0.3]
+C3 = CouplingMatrix(np.array([[0.5, 0.1 - 0.2j, 0.05j],
+                              [0.1 + 0.2j, 0.4, 0.1],
+                              [-0.05j, 0.1, 0.3]]))
 
 
 @pytest.fixture(scope="module")
@@ -244,26 +247,6 @@ MIRROR_CASES = {
 }
 
 
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    cache = {}
-    monkeypatch.setattr(ncp2, "_GRID_CACHE", cache)
-    return cache
-
-
-@pytest.fixture
-def solve_counter(monkeypatch):
-    calls = []
-    picard = ncp2.hm_tail_picard
-
-    def counting(*a, **k):
-        calls.append(a)
-        return picard(*a, **k)
-
-    monkeypatch.setattr(ncp2, "hm_tail_picard", counting)
-    return calls
-
-
 @pytest.mark.parametrize("first", ["plus", "minus"])
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
 def test_mirrored_grid_matches_fresh_solve(case, first, fresh_cache, solve_counter):
@@ -287,16 +270,110 @@ def test_mirrored_grid_matches_fresh_solve(case, first, fresh_cache, solve_count
     assert len(fresh_cache) == 2
 
 
-def test_supercritical_pair_poles_agree(fresh_cache):
+def _assert_same_solve(grid, ref, mirrored=False):
+    """grid is bit for bit ref, with the same derived integrals.
+
+    A grid mirrored from -C may differ from a fresh solve in the sign of an
+    exact zero, which adding 0.0 clears; every other bit must match.
+    """
+    def bits(a):
+        return (a + 0.0 if mirrored else a).tobytes()
+
+    for name in ("S_values", "beta1", "dbeta1"):
+        assert bits(getattr(grid, name)) == bits(getattr(ref, name)), name
+    assert (grid.S_tail, grid.h, grid.pole_at) == (ref.S_tail, ref.h, ref.pole_at)
+    for got, want in zip((grid._beta_sq_cum, *grid._trace_cums, *grid.p34_nodes),
+                         (ref._beta_sq_cum, *ref._trace_cums, *ref.p34_nodes)):
+        assert bits(got) == bits(want)
+
+
+DEPTH_CASES = {
+    1: (np.array([[0.8]]), [0.0]),
+    2: (C2.entries, D2),
+    3: (C3.entries, [-0.2, 0.1, 0.35]),
+}
+
+
+@pytest.mark.parametrize("first", ["plus", "minus"])
+@pytest.mark.parametrize("r", sorted(DEPTH_CASES))
+def test_other_depths_match_fresh_solve(r, first, fresh_cache, solve_counter):
+    # one solve for C or -C serves C at a shallower S_min (a slice) and at a
+    # deeper one (a continuation from the cached left node)
+    entries, delta = DEPTH_CASES[r]
+    c = CouplingMatrix(entries)
+    hm_solve(c if first == "plus" else c.negated(), delta, S_min=-0.4)
+    # a slice, a continuation, a hit, a slice of the continued grid, a hit;
+    # for first == "minus" the slice and the continuation come from -C
+    for i, s_min in enumerate((0.3, -0.9, -0.4, -0.6, -0.9)):
+        grid = hm_solve(c, delta, S_min=s_min)
+        assert hm_solve(c, delta, S_min=s_min) is grid and grid.C is c
+        assert len(solve_counter) == 1 + i   # one solve, and the fresh references
+        _assert_same_solve(grid, hm_solve(c, delta, S_min=s_min, cached=False),
+                           mirrored=first == "minus")
+
+
+def test_extension_pole_in_first_chunk(fresh_cache, solve_counter):
+    c = CouplingMatrix(np.array([[1.2]]))
+    with pytest.raises(PoleEncountered) as exc:
+        hm_solve(c, [0.0], S_min=-3.0, cached=False)
+    ref = exc.value.grid
+    # a grid that stops ten nodes above the last good one: the continuation
+    # to -3.0 blows up ten steps into its first chunk
+    above = hm_solve(c, [0.0], S_min=float(ref.S_values[10]))
+    assert 10 < ncp2._CHUNK and above.S_values[0] == ref.S_values[10]
+    with pytest.raises(PoleEncountered) as exc:
+        hm_solve(c, [0.0], S_min=-3.0)
+    assert len(solve_counter) == 2   # the fresh reference and the grid above
+    assert exc.value.pole_at == ref.pole_at
+    _assert_same_solve(exc.value.grid, ref)
+
+
+def test_pole_grid_serves_slices_above_its_last_node(fresh_cache, solve_counter):
+    c = CouplingMatrix(np.array([[1.5]]))
+    with pytest.raises(PoleEncountered) as exc:
+        hm_solve(c, [0.0], S_min=-3.0)
+    pole_grid = exc.value.grid
+    last = float(pole_grid.S_values[0])
+    for s_min in (last, 0.5):
+        grid = hm_solve(c, [0.0], S_min=s_min)
+        assert grid.pole_at is None and hm_solve(c, [0.0], S_min=s_min) is grid
+        _assert_same_solve(grid, hm_solve(c, [0.0], S_min=s_min, cached=False))
+    assert len(solve_counter) == 3   # one solve, and the two fresh references
+    below = last - pole_grid.h
+    with pytest.raises(PoleEncountered) as exc:
+        hm_solve(c, [0.0], S_min=below)
+    assert len(solve_counter) == 3
+    assert exc.value.pole_at == pole_grid.pole_at
+    _assert_same_solve(exc.value.grid, pole_grid)
+    with pytest.raises(PoleEncountered) as fresh:
+        hm_solve(c, [0.0], S_min=below, cached=False)
+    _assert_same_solve(exc.value.grid, fresh.value.grid)
+
+
+def test_supercritical_pair_poles_agree(fresh_cache, solve_counter):
     c = CouplingMatrix(np.array([[1.5]]))
     errs = []
     for cc in (c, c.negated()):
         with pytest.raises(PoleEncountered) as exc:
             hm_solve(cc, [0.0], S_min=-3.0)
         errs.append(exc.value)
-    assert errs[0].pole_at == errs[1].pole_at
+    assert len(solve_counter) == 1   # the -C pole is the negated +C pole grid
+    assert errs[1].grid.C.entries[0, 0] == -1.5
+    with pytest.raises(PoleEncountered) as fresh:
+        hm_solve(c.negated(), [0.0], S_min=-3.0, cached=False)
+    assert errs[0].pole_at == errs[1].pole_at == fresh.value.pole_at
     assert np.array_equal(errs[0].grid.beta1, -errs[1].grid.beta1)
-    assert fresh_cache == {}   # pole outcomes are not cached
+    _assert_same_solve(errs[1].grid, fresh.value.grid, mirrored=True)
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_table_over_depths_solves_once(order, fresh_cache, solve_counter):
+    # the rows below S = -1.4 each ask for their own S_min = S - 0.1
+    c = CouplingMatrix(np.array([[0.9]]))
+    for S in np.linspace(-4.0, 0.0, 17)[::order]:
+        q = GapQuery(ShiftVector(np.array([S])), c, "painleve")
+        assert 0.0 < det_airy_sq(q).painleve.real < 1.0
+    assert len(solve_counter) == 1
 
 
 def test_grid_cache_evicts_least_recently_used(fresh_cache, solve_counter, monkeypatch):
@@ -460,11 +537,6 @@ def _assert_same_grid(grid, ref):
     for name, want in zip(("S_values", "beta1", "dbeta1"), ref):
         assert getattr(grid, name).tobytes() == want.tobytes(), name
     assert grid.pole_at == ref[3]
-
-
-C3 = CouplingMatrix(np.array([[0.5, 0.1 - 0.2j, 0.05j],
-                              [0.1 + 0.2j, 0.4, 0.1],
-                              [-0.05j, 0.1, 0.3]]))
 
 
 @pytest.mark.parametrize("c,delta,s_min", [
