@@ -226,10 +226,12 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
     def det_at(mpr):
         lam, w = _contour_nodes(mpr)
         e1, e2 = contour_symbol(lam, s, C)
+        d2 = np.diagonal(e2, axis1=1, axis2=2)
 
         def kernel(x, y):
-            # K(lam_i, lam_j) = E1^T(lam_i) E2(lam_j) / (lam_i + lam_j) at the nodes
-            return np.einsum("ial,jak->ijlk", e1, e2) / (x + y)[:, :, None, None]
+            # K(lam_i, lam_j) = E1^T(lam_i) E2(lam_j) / (lam_i + lam_j) at the nodes; E2 is
+            # diagonal.  einsum's product, not numpy's complex multiply, which differs by an ulp.
+            return np.einsum("ikl,jk->ijlk", e1, d2) / (x + y)[:, :, None, None]
 
         return _lu_logdet(_assemble_block(kernel, s.r, z, lam, w, split=False))
 

@@ -134,11 +134,13 @@ def matrix_airy_sq_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # arguments: a[j1,k] = x + s_j1 + s_k, b[j2,k] = y + s_j2 + s_k
-    a = x[..., None, None] + (s.s[:, None] + s.s[None, :])
-    b = y[..., None, None] + (s.s[:, None] + s.s[None, :])
-    # K[j1, j2, k] = K_Ai(a[j1,k], b[j2,k])
-    k_ai = scalar_airy_kernel(a[..., :, None, :], b[..., None, :, :])
+    # Level axes first, so numpy's inner loops run over the nodes:
+    # a[j1, 0, k] = x + s_j1 + s_k and b[0, j2, k] = y + s_j2 + s_k
+    ss = (s.s[:, None] + s.s[None, :]).reshape((s.r, s.r) + (1,) * max(x.ndim, y.ndim))
+    # K[..., j1, j2, k] = K_Ai(a[j1, 0, k], b[0, j2, k]), copied to the level axes last: the
+    # sum over k then reduces a contiguous last axis, in the order the float.hex goldens pin
+    k_ai = scalar_airy_kernel(ss[:, None] + x, ss[None] + y)
+    k_ai = np.moveaxis(k_ai, (0, 1, 2), (-3, -2, -1)).copy()
     w = C.entries[:, None, :] * C.entries.T[None, :, :]  # w[j1,j2,k] = c_{j1 k} c_{k j2}
     return np.sum(w * k_ai, axis=-1)
 

@@ -153,3 +153,46 @@ def test_asy_pos_runs_at_most_25_terms(monkeypatch):
         monkeypatch.setattr(airy, "_ASY_POS_COEF", rows)
         airy._asy_pos_scaled(np.array([x]))
         assert 1 <= rows.pulled <= 25, (x, rows.pulled)
+
+
+def _seam_batch():
+    pts = [-0.0, 0.0]
+    for seam in (airy._SEAM_NEG_ASY, airy._SEAM_NEG_SERIES, airy._SEAM_ZERO, airy._SEAM_POS_ASY):
+        pts += [np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)]
+    return np.array(pts)
+
+
+_AI_ONLY_BATCHES = [
+    _seam_batch(),
+    np.concatenate([_seam_batch(), np.linspace(-30.0, 120.0, 3_001)]),
+    np.random.default_rng(19).uniform(-15.0, 40.0, (40, 25)),
+    np.array(-4.5),
+    np.array(9.5),
+]
+
+
+@pytest.mark.parametrize("x", _AI_ONLY_BATCHES, ids=["seams", "regions", "2d", "0d-series", "0d-asy"])
+def test_ai_arrays_is_the_ai_side_of_airy_arrays(x):
+    # the Ai-only dispatch skips the Bi ladders and must not drift from the full one
+    ai_s, aip_s, _, _, zeta = airy_arrays(x)
+    with np.errstate(under="ignore"):
+        e = np.exp(-zeta)
+    ai, aip = ai_arrays(x)
+    assert np.shape(ai) == np.shape(aip) == np.shape(x)
+    assert np.asarray(ai).tobytes() == np.asarray(ai_s * e).tobytes()
+    assert np.asarray(aip).tobytes() == np.asarray(aip_s * e).tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_asy_pos_mixed_batch_matches_one_point(rows):
+    # one point at the seam makes 24 terms; every other point stops at its own term count,
+    # in any input order and with repeats
+    rng = np.random.default_rng(9)
+    x = np.concatenate([[9.5], rng.uniform(9.5, 200.0, 400), [200.0, 9.5, 31.0, 31.0]])
+    rng.shuffle(x)
+    batch = airy._asy_pos_scaled(x, rows)
+    assert len(batch) == rows + 1
+    for i, xi in enumerate(x):
+        one = airy._asy_pos_scaled(np.array([xi]), rows)
+        for got, want in zip(batch, one):
+            assert got[i:i + 1].tobytes() == want.tobytes(), xi

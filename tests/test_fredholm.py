@@ -203,6 +203,14 @@ _CONTOUR_GOLDENS = {
 }
 
 
+# a non-Hermitian real r = 3 coupling with zero entries, frozen before the contour
+# kernel read E2 through its diagonal
+_CONTOUR_CASE_NONHERM = (np.array([0.0, 0.2, 0.4]),
+                         np.array([[0.5, 0.1, 0.0], [0.2, 0.4, 0.1], [0.0, -0.1, 0.3]]))
+_CONTOUR_GOLDEN_NONHERM = ('0x1.b87f5e8f0d3cfp-1', '-0x1.4c0c9c74c090fp-55', '-0x1.340f4809b8ca9p-3',
+                           240, '0x1.2c138c7e66bdcp-49')
+
+
 def _hexes(d):
     v = complex(d.value)
     return (v.real.hex(), v.imag.hex(), float(d.log_abs).hex(), d.nodes_used,
@@ -222,6 +230,11 @@ def test_nystrom_det_bit_identical(kind, r, refine, split):
 def test_nystrom_det_contour_bit_identical(r):
     s, c = ShiftVector(_GOLDEN_CASES[r][0]), CouplingMatrix(_GOLDEN_CASES[r][1])
     assert _hexes(nystrom_det_contour(s, c, -1.0)) == _CONTOUR_GOLDENS[r]
+
+
+def test_nystrom_det_contour_bit_identical_non_hermitian():
+    s, c = ShiftVector(_CONTOUR_CASE_NONHERM[0]), CouplingMatrix(_CONTOUR_CASE_NONHERM[1])
+    assert _hexes(nystrom_det_contour(s, c, -1.0)) == _CONTOUR_GOLDEN_NONHERM
 
 
 @pytest.mark.parametrize("route", ["half_line", "contour"])

@@ -177,3 +177,20 @@ def test_kernel_blocks_make_one_airy_pass_on_distinct_arguments(r, monkeypatch):
     calls.clear()
     matrix_airy_kernel(nodes[:, None], nodes[None, :], s, c)
     assert len(calls) == 1 and calls[0] <= m * (m + 1) // 2 * pairs
+
+
+@pytest.mark.parametrize("x,y", [
+    (0.3, -1.2),                                        # Python floats, as verify passes them
+    (np.float64(2.5), np.float64(-4.0)),                # numpy scalars, as tw passes them
+    (np.array(0.7), np.array(0.7)),                     # 0-d arrays on the diagonal
+    (np.linspace(-3.0, 12.0, 7), 0.4),                  # vector x scalar
+    (1.1, np.linspace(-6.0, 20.0, 5)),                  # scalar x vector
+    (np.linspace(-2.0, 2.0, 3)[:, None], np.linspace(0.0, 9.0, 4)),  # 2-d broadcast
+], ids=["float", "float64", "0d", "vec-scalar", "scalar-vec", "2d"])
+def test_sq_kernel_shapes_and_values_for_scalar_and_broadcast_inputs(x, y):
+    s = ShiftVector(np.array([0.7, -0.2, 0.1]))
+    c = CouplingMatrix(_DISTINCT_CASES[3][1])
+    got = matrix_airy_sq_kernel(x, y, s, c)
+    want = _sq_kernel_ref(np.asarray(x, dtype=float), np.asarray(y, dtype=float), s, c)
+    assert got.shape == np.broadcast_shapes(np.shape(x), np.shape(y)) + (3, 3)
+    assert got.tobytes() == want.tobytes()
