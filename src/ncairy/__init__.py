@@ -31,7 +31,6 @@ from .kernels import (
 from .ncp2 import (
     HMGrid,
     LaxPair,
-    PicardTail,
     alpha1,
     hm_continue,
     hm_solve,
@@ -72,9 +71,8 @@ __all__ = [
     "matrix_airy_sq_kernel", "contour_symbol",
     "QuadratureRule", "DetResult", "gauss_legendre", "half_line_rule",
     "half_line_cutoff", "nystrom_det", "nystrom_det_contour", "spectral_radius",
-    "PicardTail", "HMGrid", "LaxPair", "hm_tail_picard", "hm_continue",
-    "hm_solve", "alpha1", "ncp2_residual", "lax_matrices",
-    "zero_curvature_residual_p2",
+    "HMGrid", "LaxPair", "hm_tail_picard", "hm_continue", "hm_solve",
+    "alpha1", "ncp2_residual", "lax_matrices", "zero_curvature_residual_p2",
     "P34State", "p34_state", "p34_residual", "lax_b", "vd_at",
     "zero_curvature_residual_p34",
     "GapQuery", "GapResult", "det_airy", "det_airy_sq", "scalar_f1",

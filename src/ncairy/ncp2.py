@@ -4,12 +4,12 @@ The matrix unknown beta1(S) solves D^2 beta1 = 4{s, beta1} + 8 beta1^3 with
 s = diag(S + delta_j) and decays like -C o Ai at +infinity.  On the tail
 [S0, S0 + 8] it is the fixed point of the equivalent integral equation,
 iterated on the uniform grid S0 + k h, where the Green factor separates into
-Airy-Bi products and each sweep is two cumulative integrals.  From S0 the
-solution is continued leftward by RK4 with the same step, so the tail
-samples and the continuation form one uniform grid.  One kernel steps the
-stacked (beta1, Dbeta1) in buffers allocated once per solve and tests for
-blow-up once per chunk of steps; every value is bit for bit that of the
-per-matrix RK4 formulas.  Auxiliary quantities
+Airy-Bi products and each sweep is two cumulative integrals.  The solved
+tail is an HMGrid of depth 0, and RK4 with the same step continues a grid
+leftward, so the tail samples and the continuation form one uniform grid.
+One kernel steps the stacked (beta1, Dbeta1) in buffers allocated once per
+solve and tests for blow-up once per chunk of steps; every value is bit for
+bit that of the per-matrix RK4 formulas.  Auxiliary quantities
 (alpha1, Lax matrices, residual diagnostics) are derived from that grid.
 """
 
@@ -28,7 +28,6 @@ from .errors import (ConvergenceFailure, DomainError, NoContraction,
 from .kernels import CouplingMatrix, scalar_airy_kernel
 
 __all__ = [
-    "PicardTail",
     "HMGrid",
     "LaxPair",
     "hm_tail_picard",
@@ -72,20 +71,7 @@ def _check_step(h: float) -> None:
         raise DomainError("continuation step must satisfy 0 < h <= 1e-2")
 
 
-@dataclass(frozen=True, eq=False)
-class PicardTail:
-    """The converged tail: beta1 and Dbeta1 at the nodes S0 + k h of [S0, S0 + 8]."""
-
-    C: CouplingMatrix
-    delta: np.ndarray
-    S0: float
-    h: float
-    beta: np.ndarray
-    dbeta: np.ndarray
-    sweeps: int
-
-
-def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> PicardTail:
+def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> HMGrid:
     """Fixed-point solve of the tail integral equation on the h-grid of [S0, S0 + 8].
 
     With a = delta_j + delta_k the Green factor separates, and the equation
@@ -97,9 +83,11 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> Pica
     serves every sweep.  Sweeps start from u and stop when one changes
     nothing, or when the change is below 1e-13 and no longer falls (a
     rounding-level cycle).  Dbeta1 is the exact derivative of the last
-    sweep's output.  Raises NoContraction if the change grows for three
-    consecutive sweeps (S0 too far left), ConvergenceFailure after 200, and
-    DomainError if Bi or Bi' overflows on the grid (S0 above about 44).
+    sweep's output.  The result is the grid of depth 0 on the nodes S0 + k h,
+    with S_tail = S0 and the number of sweeps taken.  Raises NoContraction if
+    the change grows for three consecutive sweeps (S0 too far left),
+    ConvergenceFailure after 200, and DomainError if Bi or Bi' overflows on
+    the grid (S0 above about 44).
     """
     _check_step(h)
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -133,7 +121,7 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> Pica
         if change == 0.0 or (change <= 1e-13 and change >= prev_change):
             # d/dS of the sweep: the terms from the integrals' limits cancel
             dbeta = -2.0 * C.entries * aip + 2.0 * four_pi * (aip * f_bi - bip * f_ai)
-            return PicardTail(C, delta, S0, h, beta, dbeta, sweep)
+            return HMGrid(C, delta, s, beta, dbeta, S_tail=S0, h=h, sweeps=sweep)
         if change > prev_change:
             grow_streak += 1
             if grow_streak >= 3:
@@ -150,6 +138,7 @@ class HMGrid:
 
     Immutable: the arrays are read-only, and each node array derived from
     beta1 (integrals, Painleve XXXIV a1 and a2) is computed on first use.
+    sweeps is the number of Picard sweeps that solved the tail under the grid.
     """
 
     C: CouplingMatrix
@@ -160,6 +149,7 @@ class HMGrid:
     S_tail: float
     h: float
     pole_at: float | None = None
+    sweeps: int = 0
 
     def __post_init__(self):
         # a copy of delta, which is often the caller's; views of the rest
@@ -187,7 +177,7 @@ class HMGrid:
     def _local_cubic(self, data: np.ndarray, S: float) -> np.ndarray:
         """Evaluate grid data at S; exact at nodes, 4-point Lagrange between."""
         sv = self.S_values
-        if S < sv[0] - 1e-12 or S > sv[-1] + 1e-12:
+        if not (sv[0] - 1e-12 <= S <= sv[-1] + 1e-12):   # NaN fails this test too
             raise OutOfRange(f"S = {S} outside the grid [{sv[0]}, {sv[-1]}]")
         pos = (S - sv[0]) / self.h
         i = int(round(pos))
@@ -359,75 +349,52 @@ def _rk4(ys: np.ndarray, shifts: np.ndarray, step: float) -> int:
     return n
 
 
-def _rk4_step(S: float, b: np.ndarray, db: np.ndarray, step: float, delta: np.ndarray):
-    """One RK4 step from (b, db) at S: _rk4 on a one-step grid."""
-    ys = np.empty((2, 3) + b.shape, dtype=complex)
-    ys[0, 0], ys[0, 1] = b, db
-    shifts = np.array([S, S + 0.5 * step, S + step])[:, None] + delta
-    _rk4(ys, shifts[None], step)
-    return ys[1, 0], ys[1, 1]
+def hm_continue(grid: HMGrid, S_min: float) -> HMGrid:
+    """Continue a pole-free grid leftward to S_min by RK4 with the grid's step h.
 
-
-def _blown(b: np.ndarray) -> bool:
-    # one reduction: a nan or inf maximum fails the comparison too
-    return not (np.abs(b).max() <= _BLOWUP)
-
-
-def hm_continue(tail: PicardTail | HMGrid, S_min: float) -> HMGrid:
-    """Continue the tail solution leftward by RK4 with the tail's step h.
-
-    The tail's samples populate the grid from its start S0 up.  The steps
-    below S0 run in _rk4 on one preallocated stack of (beta1, Dbeta1) rows,
-    with the stage abscissae S0 - i h (+ step/2, + step) precomputed, and
-    blow-up tested once per chunk of steps.  On blow-up (|beta1| past 1e8)
-    the step from the last good node is halved four times, and
-    PoleEncountered is raised with pole_at and the valid grid attached.
-    pole_at marks where the RK4 trajectory blows up, which is first-order
-    accurate in h: for c = 1.2 it reads -1.14503 at h = 1e-3, against the
-    true pole at -1.1443185.
-
-    tail may also be a pole-free grid.  The steps then go on from its left
-    node with the node indices of a solve from its tail start, and _rk4
-    reads only that node's (beta1, Dbeta1), so the result is bit for bit the
-    grid that one continuation from the tail gives.
+    A fresh tail is a grid of depth 0.  The steps go on from the grid's left
+    node with the node indices of a solve from its tail start S_tail, so
+    node i below it is S_tail - i h, and the result is bit for bit the grid
+    that one continuation from the tail gives.  The steps run in _rk4 on one
+    preallocated stack of (beta1, Dbeta1) rows, with the stage abscissae
+    S_tail - i h (+ step/2, + step) precomputed, and blow-up tested once per
+    chunk of steps.  On blow-up (|beta1| past 1e8) the step from the last
+    good node is halved four times, each try one _rk4 step on a two-row
+    stack, and PoleEncountered is raised with pole_at and the valid grid
+    attached.  pole_at marks where the RK4 trajectory blows up, which is
+    first-order accurate in h: for c = 1.2 it reads -1.14503 at h = 1e-3,
+    against the true pole at -1.1443185.  A non-finite S_min raises
+    DomainError before any work.
     """
-    if isinstance(tail, HMGrid):
-        s0, n_have = tail.S_tail, _depth(tail)
-        s_up, b_up, db_up = tail.S_values, tail.beta1, tail.dbeta1
-    else:
-        s0, n_have = tail.S0, 0
-        s_up, b_up, db_up = tail.S0 + tail.h * np.arange(tail.beta.shape[0]), tail.beta, tail.dbeta
-    delta, h = tail.delta, tail.h
+    if not math.isfinite(S_min):
+        raise DomainError("S_min must be finite")
+    s0, n_have, delta, h = grid.S_tail, _depth(grid), grid.delta, grid.h
     n_down = max(int(round((s0 - S_min) / h)), n_have)
     s = s0 - np.arange(n_have, n_down) * h
     shifts = np.stack([s, s + 0.5 * -h, s - h], axis=1)[:, :, None] + delta
-    ys = np.empty((n_down - n_have + 1, 3) + b_up.shape[1:], dtype=complex)
-    ys[0, 0], ys[0, 1] = b_up[0], db_up[0]
+    ys = np.empty((n_down - n_have + 1, 3) + grid.beta1.shape[1:], dtype=complex)
+    ys[0, 0], ys[0, 1] = grid.beta1[0], grid.dbeta1[0]
     done = _rk4(ys, shifts, -h)
     pole_at = None
     if done < s.size:
-        s_cur = float(s[done])
-        lo, hi = s_cur - h, s_cur
-        bb, dbb = ys[done, 0], ys[done, 1]
+        hi = float(s[done])
+        last = ys[done:done + 2].copy()   # row 0: the last good node
         step = h
         while step > h / 16.0:
             step *= 0.5
-            bt, dbt = _rk4_step(hi, bb, dbb, -step, delta)
-            if _blown(bt):
-                lo = hi - step
-            else:
-                bb, dbb = bt, dbt
+            shifts = np.array([[hi, hi - 0.5 * step, hi - step]])[:, :, None] + delta
+            if _rk4(last, shifts, -step):   # 0: the step blew up
+                last[0, :2] = last[1, :2]
                 hi = hi - step
-                lo = hi - step
+            lo = hi - step
         pole_at = 0.5 * (lo + hi)
-    s_all = np.concatenate([(s[:done] - h)[::-1], s_up])
-    b_all = np.concatenate([ys[done:0:-1, 0], b_up])
-    db_all = np.concatenate([ys[done:0:-1, 1], db_up])
-    grid = HMGrid(tail.C, delta, s_all, b_all, db_all, S_tail=s0, h=h, pole_at=pole_at)
+    out = replace(grid, S_values=np.concatenate([(s[:done] - h)[::-1], grid.S_values]),
+                  beta1=np.concatenate([ys[done:0:-1, 0], grid.beta1]),
+                  dbeta1=np.concatenate([ys[done:0:-1, 1], grid.dbeta1]), pole_at=pole_at)
     if pole_at is not None:
         # no local names the exception: its traceback holds this frame and the RK4 buffers
-        raise PoleEncountered(pole_at, grid)
-    return grid
+        raise PoleEncountered(pole_at, out)
+    return out
 
 
 def _depth(grid: HMGrid) -> int:
@@ -446,14 +413,12 @@ def _cache_put(key, grid: HMGrid) -> None:
         del _GRID_CACHE[next(iter(_GRID_CACHE))]
 
 
-def _from_cache(C: CouplingMatrix, config: tuple, S_min: float) -> HMGrid | None:
-    """The answer to a request that misses the cache, from a grid of the same solver
-    configuration for C or -C, or None when there is none.
+def _from_cache(C: CouplingMatrix, config: tuple) -> HMGrid | None:
+    """A cached grid of the same solver configuration for C, or -C negated,
+    or None when there is none.
 
-    The source is a pole grid, or else the deepest grid.  The answer is a
-    slice of it when it reaches S_min, the grid continued to S_min when it
-    does not, or (when it stopped at a pole above S_min) the pole grid
-    itself, with pole_at set.
+    A pole grid ranks first, then the deepest grid, then one for C itself
+    over one for -C.
     """
     plus = (C.entries + 0.0).tobytes()
     minus = (-C.entries + 0.0).tobytes()
@@ -467,16 +432,10 @@ def _from_cache(C: CouplingMatrix, config: tuple, S_min: float) -> HMGrid | None
         return None
     (_, same), key, grid = best
     _cache_put(key, _GRID_CACHE.pop(key))   # the source is the most recently used too
-    if not same:
-        grid = replace(grid, C=C, beta1=-grid.beta1, dbeta1=-grid.dbeta1)
-    k = _depth(grid) - max(round((grid.S_tail - S_min) / grid.h), 0)
-    if k >= 0:   # the nodes from k up, as views
-        return replace(grid, C=C, S_values=grid.S_values[k:], beta1=grid.beta1[k:],
-                       dbeta1=grid.dbeta1[k:], pole_at=None)
-    return grid if grid.pole_at is not None else hm_continue(grid, S_min)
+    return grid if same else replace(grid, C=C, beta1=-grid.beta1, dbeta1=-grid.dbeta1)
 
 
-def _tail(C: CouplingMatrix, delta: np.ndarray, s0: float, h: float) -> PicardTail:
+def _tail(C: CouplingMatrix, delta: np.ndarray, s0: float, h: float) -> HMGrid:
     """hm_tail_picard from s0, with the start raised by 0.5 (at most four times) on NoContraction."""
     for attempt in range(5):
         try:
@@ -487,7 +446,7 @@ def _tail(C: CouplingMatrix, delta: np.ndarray, s0: float, h: float) -> PicardTa
 
 
 def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
-             s0: float = 2.0, cached: bool = True) -> HMGrid:
+             s0: float = 2.0) -> HMGrid:
     """Tail Picard solve plus leftward continuation, with adaptive tail start.
 
     The tail start is raised by 0.5 (at most four times) if the Picard map
@@ -496,13 +455,14 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     points that are multiples of h land exactly on grid nodes.
 
     The cache keeps the 32 most recently used grids, each under its request
-    (C, delta, S_min, h, s0).  A request that misses is served from any
-    cached grid of the same solver configuration (C, delta, h, s0); only
-    S_min differs, and neither the Picard tail nor the retried tail start
-    depends on it.  Node i below the tail start is S_tail - i h for every
-    S_min, so a shallower request is a slice of a deeper grid (views), and
-    a deeper one continues RK4 from the cached left node with the same node
-    indices.  A grid that stopped at a pole is cached too: it serves every
+    (C, delta, S_min, h, s0).  A request that misses takes its source grid
+    from the cache: a grid of the same solver configuration (C, delta, h,
+    s0), since only S_min differs and neither the Picard tail nor the
+    retried tail start depends on it.  Without one, the source is a fresh
+    tail, a grid of depth 0.  Node i below the tail start is S_tail - i h
+    for every S_min, so the answer is a slice of the source (views) when the
+    source reaches S_min, and the source continued by RK4 from its left node
+    with the same node indices when it does not.  A pole grid serves every
     S_min down to its last good node as a slice, and below it raises the
     PoleEncountered that a fresh solve raises.  Each answer is cached under
     its request, and is bit for bit that of a fresh solve.
@@ -511,12 +471,13 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     beta1(-C) = -beta1(C), and every step of the solve preserves this
     exactly, since rounding is symmetric in sign (only the sign of an exact
     zero can differ).  A grid for -C therefore serves C as its exact
-    negation, in each of the cases above.  cached=False neither reads nor
-    writes the cache.  A non-finite s0 or a step outside 0 < h <= 1e-2
-    raises DomainError before any work.
+    negation, in each of the cases above.  A non-finite s0 or S_min, or a
+    step outside 0 < h <= 1e-2, raises DomainError before any work.
     """
     if not math.isfinite(s0):
         raise DomainError("tail start s0 must be finite")
+    if not math.isfinite(S_min):
+        raise DomainError("S_min must be finite")
     _check_step(h)
     delta = np.atleast_1d(np.asarray(delta, dtype=float))
     m = float(np.max(np.abs(delta))) if delta.size else 0.0
@@ -525,18 +486,25 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     if k * h < 1.0 + m:  # the nearest multiple of h fell below the tail's domain
         k += 1
     s0 = k * h
-    if not cached:
-        return hm_continue(_tail(C, delta, s0, h), S_min)
     # adding 0.0 turns -0.0 into +0.0, so the sign of a zero entry splits no key
     config = ((delta + 0.0).tobytes(), float(h), s0)
     key = ((C.entries + 0.0).tobytes(), float(S_min)) + config
     grid = _GRID_CACHE.pop(key, None)
     if grid is None:
-        try:
-            grid = _from_cache(C, config, S_min) or hm_continue(_tail(C, delta, s0, h), S_min)
-        except PoleEncountered as exc:
-            _cache_put(key, exc.grid)
-            raise
+        source = _from_cache(C, config) or _tail(C, delta, s0, h)
+        first = _depth(source) - max(round((source.S_tail - S_min) / h), 0)
+        if first >= 0:   # the nodes from first up, as views
+            grid = replace(source, C=C, S_values=source.S_values[first:],
+                           beta1=source.beta1[first:], dbeta1=source.dbeta1[first:],
+                           pole_at=None)
+        elif source.pole_at is not None:
+            grid = source
+        else:
+            try:
+                grid = hm_continue(source, S_min)
+            except PoleEncountered as exc:
+                _cache_put(key, exc.grid)
+                raise
     _cache_put(key, grid)   # (re)inserted as the most recently used
     if grid.pole_at is not None:
         raise PoleEncountered(grid.pole_at, grid)

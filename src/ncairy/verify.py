@@ -308,10 +308,10 @@ def check_hm_asymptotic_matching(rng) -> tuple[bool, str]:
 
 def check_hm_parity(rng) -> tuple[bool, str]:
     delta = [0.0, 0.3]
-    # two fresh solves: the grid cache serves -C by negating +C, which is
-    # only valid while this parity holds exactly
-    g_plus = hm_solve(_C_REAL_SYM, delta, S_min=-0.5, cached=False)
-    g_minus = hm_solve(_C_REAL_SYM.negated(), delta, S_min=-0.5, cached=False)
+    # two fresh solves by the public stages: the grid cache serves -C by
+    # negating +C, which is only valid while this parity holds exactly
+    g_plus, g_minus = (hm_continue(hm_tail_picard(c, delta, 2.0), -0.5)
+                       for c in (_C_REAL_SYM, _C_REAL_SYM.negated()))
     exact = (np.array_equal(g_plus.beta1, -g_minus.beta1)
              and np.array_equal(g_plus.dbeta1, -g_minus.dbeta1))
     err = max(float(np.max(np.abs(g_plus.beta1 + g_minus.beta1))),
@@ -332,7 +332,7 @@ def check_picard_ode_seam(rng) -> tuple[bool, str]:
     t0 = hm_tail_picard(_C1, [0.0], 2.0)
     # continue the S0 = 3 tail down to 2 and compare with the tail solved there
     b = hm_continue(hm_tail_picard(_C1, [0.0], 3.0), 2.0).beta1[0]
-    err = float(np.max(np.abs(b - t0.beta[0])))
+    err = float(np.max(np.abs(b - t0.beta1[0])))
     # 1.4e-14 on sound code; a wrong sign on the Green term of the tail
     # sweep moves the mismatch to 9.5e-11
     return err <= 1e-12, f"seam mismatch {err:.3e}"
@@ -347,7 +347,7 @@ def check_ncp2_residual(rng) -> tuple[bool, str]:
     # tail start, where the grid-wide maximum sits
     res = []
     for h in (1e-2, 5e-3):
-        grid = hm_solve(_C1, [0.0], S_min=-1.0, h=h, cached=False)
+        grid = hm_solve(_C1, [0.0], S_min=-1.0, h=h)
         inner = grid.S_values[2:-2]
         res.append([ncp2_residual(grid, nodes)
                      for nodes in (pts[:3], inner, inner[inner <= grid.S_tail - 0.03])])

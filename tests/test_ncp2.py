@@ -26,7 +26,7 @@ from ncairy import (
 )
 from ncairy import GapQuery, det_airy_sq, ncp2
 from ncairy.airy import airy_arrays
-from ncairy.ncp2 import _blown, _matcube, _reverse_cumulative, _rk4, _rk4_step
+from ncairy.ncp2 import _matcube, _reverse_cumulative, _rk4
 
 C1 = CouplingMatrix(np.array([[1.0]]))
 C2 = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
@@ -34,6 +34,12 @@ D2 = [0.0, 0.3]
 C3 = CouplingMatrix(np.array([[0.5, 0.1 - 0.2j, 0.05j],
                               [0.1 + 0.2j, 0.4, 0.1],
                               [-0.05j, 0.1, 0.3]]))
+
+
+def _fresh(c, delta, s_min):
+    """A fresh solve by the public stages (tail start 2, h = 1e-3); the grid cache
+    is neither read nor written, and solve_counter counts the tail."""
+    return ncp2.hm_continue(ncp2.hm_tail_picard(c, delta, 2.0), s_min)
 
 
 @pytest.fixture(scope="module")
@@ -96,22 +102,44 @@ def test_tail_solve_makes_one_airy_pass(monkeypatch):
     assert calls == [(8001, 2, 2)]
 
 
+def test_tail_is_a_grid(fresh_cache):
+    # the Picard tail is the depth-0 grid whose nodes every solve from it keeps
+    tail = hm_tail_picard(C2, D2, 2.0)
+    assert isinstance(tail, HMGrid) and tail.pole_at is None and tail.sweeps >= 2
+    assert tail.S_values[0] == tail.S_tail == 2.0 and tail.S_values.size == 8001
+    grid = hm_solve(C2, D2, S_min=-0.5)
+    for s_val in (2.0, 2.001, 3.5, 10.0):
+        assert tail.beta1_at(s_val).tobytes() == grid.beta1_at(s_val).tobytes()
+        assert tail.dbeta1_at(s_val).tobytes() == grid.dbeta1_at(s_val).tobytes()
+    # sweeps survives continuation, slicing and the -C mirror, poles too
+    assert grid.sweeps == ncp2.hm_continue(tail, -0.5).sweeps == tail.sweeps
+    assert hm_solve(C2, D2, S_min=0.5).sweeps == tail.sweeps
+    assert hm_solve(C2.negated(), D2, S_min=-0.5).sweeps == tail.sweeps
+    assert hm_solve(C2.negated(), D2, S_min=-1.0).sweeps == tail.sweeps
+    c = CouplingMatrix(np.array([[1.5]]))
+    sweeps = hm_tail_picard(c, [0.0], 2.0).sweeps
+    for cc in (c, c.negated()):
+        with pytest.raises(PoleEncountered) as exc:
+            hm_solve(cc, [0.0], S_min=-3.0)
+        assert exc.value.grid.sweeps == sweeps
+
+
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, 0.02])
 def test_tail_solve_rejects_bad_step(h):
     with pytest.raises(DomainError):
         hm_tail_picard(C1, [0.0], 2.0, h)
 
 
-def test_tail_start_past_bi_overflow_raises():
+def test_tail_start_past_bi_overflow_raises(fresh_cache):
     # Bi(2 S + a) overflows once 2 (S0 + 8) passes about 104
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="tail start S0 = 45 too large"):
             hm_tail_picard(C1, [0.0], 45.0)
         with pytest.raises(DomainError, match="tail start S0 = 45 too large"):
-            hm_solve(C1, [0.0], S_min=44.0, s0=45.0, cached=False)
+            hm_solve(C1, [0.0], S_min=44.0, s0=45.0)
         tail = hm_tail_picard(C1, [0.0], 44.0)
-    assert np.isfinite(tail.beta).all() and np.isfinite(tail.dbeta).all()
+    assert np.isfinite(tail.beta1).all() and np.isfinite(tail.dbeta1).all()
 
 
 def _tail_sweep(grid: HMGrid, b: np.ndarray) -> np.ndarray:
@@ -138,29 +166,39 @@ def _tail_sweep(grid: HMGrid, b: np.ndarray) -> np.ndarray:
     (CouplingMatrix(np.array([[0.5, 0.1, 0.05j], [0.1, 0.4, 0.2], [-0.05j, 0.2, 0.3]])),
      [-0.2, 0.0, 0.4]),
 ])
-def test_tail_is_exact_fixed_point(c, shifts):
+def test_tail_is_exact_fixed_point(c, shifts, fresh_cache):
     # the solved tail samples are the floating-point fixed point of the sweep
-    grid = hm_solve(c, ShiftVector(np.array(shifts)).delta, S_min=2.0, cached=False)
+    grid = hm_solve(c, ShiftVector(np.array(shifts)).delta, S_min=2.0)
     b = grid.beta1[grid.index_of(grid.S_tail):]
     assert _tail_sweep(grid, b).tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("m,s_tail", [(0.0, 2.0), (1.0004, 2.001), (1.0006, 2.001),
                                        (1.2345, 2.235)])
-def test_tail_start_snaps_up_past_one(m, s_tail):
+def test_tail_start_snaps_up_past_one(m, s_tail, fresh_cache):
     # the nearest multiple of h below 1 + max|delta| would put the Picard
     # tail outside its domain; inputs that solved before keep their start
     c = CouplingMatrix(np.array([[0.5, 0.1], [0.1, 0.4]]))
-    grid = hm_solve(c, [-m, m], S_min=2.5, cached=False)
+    grid = hm_solve(c, [-m, m], S_min=2.5)
     assert grid.S_tail >= 1.0 + m
     assert grid.S_tail == pytest.approx(s_tail, abs=1e-12)
 
 
 @pytest.mark.parametrize("kw", [{"s0": math.nan}, {"s0": math.inf}, {"h": 0.0},
-                                {"h": -1e-3}, {"h": math.nan}, {"h": 0.02}])
-def test_hm_solve_rejects_bad_start_and_step(kw):
+                                {"h": -1e-3}, {"h": math.nan}, {"h": 0.02},
+                                {"S_min": math.nan}, {"S_min": math.inf},
+                                {"S_min": -math.inf}])
+def test_hm_solve_rejects_bad_start_and_step(kw, fresh_cache, solve_counter):
     with pytest.raises(DomainError):
-        hm_solve(C1, [0.0], cached=False, **kw)
+        hm_solve(C1, [0.0], **kw)
+    assert not solve_counter and not fresh_cache   # before any work
+
+
+def test_continue_rejects_nonfinite_s_min():
+    tail = hm_tail_picard(C1, [0.0], 2.0)
+    for s_min in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="S_min must be finite"):
+            ncp2.hm_continue(tail, s_min)
 
 
 def test_zero_coupling_is_zero():
@@ -179,15 +217,17 @@ def test_supercritical_pole_detection():
     assert np.isfinite(grid.beta1).all()
 
 
-def test_pole_frees_its_grid_without_cyclic_gc():
+def test_pole_frees_its_grid_without_cyclic_gc(fresh_cache):
     # a traceback frame that names the exception would keep the exception, the
     # grid and the RK4 buffers alive until the next cyclic collection
     gc.disable()
     try:
         try:
-            hm_solve(CouplingMatrix(np.array([[1.5]])), [0.0], S_min=-3.0, cached=False)
+            hm_solve(CouplingMatrix(np.array([[1.5]])), [0.0], S_min=-3.0)
         except PoleEncountered as exc:
             grid = weakref.ref(exc.grid)
+        assert len(fresh_cache) == 1 and grid() is not None
+        fresh_cache.clear()   # the cache held the only other reference
         assert grid() is None
     finally:
         gc.enable()
@@ -238,6 +278,14 @@ def test_index_of_takes_nodes_only(grid1):
         ncp2_residual(grid1, grid1.S_values[-2:])
 
 
+def test_queries_reject_nan(grid2):
+    # NaN fails both ends of the range test, so it is out of range too
+    for query in (grid2.beta1_at, grid2.dbeta1_at, grid2.d2beta1_at, grid2.int_beta_sq,
+                  grid2.int_t_beta_sq, grid2.int_tr_beta):
+        with pytest.raises(OutOfRange, match="outside the grid"):
+            query(math.nan)
+
+
 MIRROR_CASES = {
     "r1": (np.array([[0.8]]), [0.0]),
     "r2_complex_hermitian": (C2.entries, D2),
@@ -259,7 +307,7 @@ def test_mirrored_grid_matches_fresh_solve(case, first, fresh_cache, solve_count
     assert len(solve_counter) == 1   # served from the cached opposite sign
     assert hm_solve(mirrored, delta, S_min=-0.5) is grid
     assert grid.C is mirrored
-    ref = hm_solve(mirrored, delta, S_min=-0.5, cached=False)
+    ref = _fresh(mirrored, delta, -0.5)
     assert len(solve_counter) == 2
     # np.array_equal is bit equality up to the sign of exact zeros, which
     # the solver itself does not fix (a fresh -C solve can yield -0.0)
@@ -308,14 +356,13 @@ def test_other_depths_match_fresh_solve(r, first, fresh_cache, solve_counter):
         grid = hm_solve(c, delta, S_min=s_min)
         assert hm_solve(c, delta, S_min=s_min) is grid and grid.C is c
         assert len(solve_counter) == 1 + i   # one solve, and the fresh references
-        _assert_same_solve(grid, hm_solve(c, delta, S_min=s_min, cached=False),
-                           mirrored=first == "minus")
+        _assert_same_solve(grid, _fresh(c, delta, s_min), mirrored=first == "minus")
 
 
 def test_extension_pole_in_first_chunk(fresh_cache, solve_counter):
     c = CouplingMatrix(np.array([[1.2]]))
     with pytest.raises(PoleEncountered) as exc:
-        hm_solve(c, [0.0], S_min=-3.0, cached=False)
+        _fresh(c, [0.0], -3.0)
     ref = exc.value.grid
     # a grid that stops ten nodes above the last good one: the continuation
     # to -3.0 blows up ten steps into its first chunk
@@ -337,7 +384,7 @@ def test_pole_grid_serves_slices_above_its_last_node(fresh_cache, solve_counter)
     for s_min in (last, 0.5):
         grid = hm_solve(c, [0.0], S_min=s_min)
         assert grid.pole_at is None and hm_solve(c, [0.0], S_min=s_min) is grid
-        _assert_same_solve(grid, hm_solve(c, [0.0], S_min=s_min, cached=False))
+        _assert_same_solve(grid, _fresh(c, [0.0], s_min))
     assert len(solve_counter) == 3   # one solve, and the two fresh references
     below = last - pole_grid.h
     with pytest.raises(PoleEncountered) as exc:
@@ -346,7 +393,7 @@ def test_pole_grid_serves_slices_above_its_last_node(fresh_cache, solve_counter)
     assert exc.value.pole_at == pole_grid.pole_at
     _assert_same_solve(exc.value.grid, pole_grid)
     with pytest.raises(PoleEncountered) as fresh:
-        hm_solve(c, [0.0], S_min=below, cached=False)
+        _fresh(c, [0.0], below)
     _assert_same_solve(exc.value.grid, fresh.value.grid)
 
 
@@ -360,7 +407,7 @@ def test_supercritical_pair_poles_agree(fresh_cache, solve_counter):
     assert len(solve_counter) == 1   # the -C pole is the negated +C pole grid
     assert errs[1].grid.C.entries[0, 0] == -1.5
     with pytest.raises(PoleEncountered) as fresh:
-        hm_solve(c.negated(), [0.0], S_min=-3.0, cached=False)
+        _fresh(c.negated(), [0.0], -3.0)
     assert errs[0].pole_at == errs[1].pole_at == fresh.value.pole_at
     assert np.array_equal(errs[0].grid.beta1, -errs[1].grid.beta1)
     _assert_same_solve(errs[1].grid, fresh.value.grid, mirrored=True)
@@ -434,21 +481,6 @@ def test_derived_integrals_computed_once(grid2, monkeypatch):
     assert grid.int_t_beta_sq(0.25) == grid2.int_t_beta_sq(0.25)
 
 
-class _NoAccess(dict):
-    def _refuse(self, *a, **k):
-        raise AssertionError("grid cache touched")
-
-    __getitem__ = __setitem__ = __contains__ = get = setdefault = _refuse
-
-
-def test_uncached_solve_leaves_cache_alone(monkeypatch):
-    cache = _NoAccess()
-    monkeypatch.setattr(ncp2, "_GRID_CACHE", cache)
-    grid = hm_solve(C1, [0.0], S_min=-0.5, cached=False)
-    assert grid.pole_at is None
-    assert len(cache) == 0
-
-
 def _seed_rhs(S, b, db, delta):
     sm = np.diag(S + delta).astype(complex)
     return db, 4.0 * (sm @ b + b @ sm) + 8.0 * b @ b @ b
@@ -467,7 +499,7 @@ def _seed_step(S, b, db, step, delta):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_rk4_step_matches_matrix_form(r):
     # the elementwise anticommutator must reproduce diag-matrix products
-    # exactly, one step at a time and over the kernel's 200 rows
+    # exactly, over the kernel's 200 rows
     rng = np.random.default_rng(r)
     delta = rng.uniform(-0.4, 0.4, r)
     b = 0.3 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
@@ -477,23 +509,29 @@ def test_rk4_step_matches_matrix_form(r):
     s = 1.0 - 1e-3 * np.arange(200)
     shifts = np.stack([s, s + 0.5 * -1e-3, s - 1e-3], axis=1)[:, :, None] + delta
     assert _rk4(ys, shifts, -1e-3) == 200
-    ref_b, ref_db = b, db
-    h = 1e-3
     for i, s_cur in enumerate(s):
-        b, db = _rk4_step(s_cur, b, db, -h, delta)
-        ref_b, ref_db = _seed_step(s_cur, ref_b, ref_db, -h, delta)
-        assert b.tobytes() == ref_b.tobytes() and db.tobytes() == ref_db.tobytes()
+        b, db = _seed_step(s_cur, b, db, -1e-3, delta)
         assert ys[i + 1, 0].tobytes() == b.tobytes() and ys[i + 1, 1].tobytes() == db.tobytes()
 
 
 def test_blown_flags_nonfinite_and_large():
+    # a zero step leaves a finite state as it is, so _rk4 tests beta1 itself:
+    # it returns 1 for a step that stays at or below 1e8, and 0 for a blown one
+    def steps(b):
+        ys = np.zeros((2, 3, 2, 2), dtype=complex)
+        ys[0, 0] = b
+        done = _rk4(ys, np.zeros((1, 3, 2)), 0.0)
+        if np.isfinite(b).all():
+            assert ys[1, 0].tobytes() == b.tobytes()
+        return done
+
     ok = np.array([[1e8, -1e8], [1e8j, 0.5]], dtype=complex)
-    assert not _blown(ok)
+    assert steps(ok) == 1
     for bad in (np.nan, complex(0.0, np.nan), np.inf, -np.inf, complex(0.0, -np.inf),
                 np.nextafter(1e8, np.inf), -2e8, 2e8j):
         b = ok.copy()
         b[1, 0] = bad
-        assert _blown(b), bad
+        assert steps(b) == 0, bad
 
 
 def _loop_continue(tail, S_min):
@@ -501,9 +539,9 @@ def _loop_continue(tail, S_min):
     def blown(b):
         return not (np.abs(b).max() <= 1e8)
 
-    h, s0 = tail.h, tail.S0
+    h, s0 = tail.h, tail.S_tail
     s_list, b_list, db_list = [], [], []
-    b, db = tail.beta[0], tail.dbeta[0]
+    b, db = tail.beta1[0], tail.dbeta1[0]
     pole_at = None
     for i in range(int(round((s0 - S_min) / h))):
         s_cur = s0 - i * h
@@ -526,10 +564,10 @@ def _loop_continue(tail, S_min):
         s_list.append(s_cur - h)
         b_list.append(b)
         db_list.append(db)
-    shape = tail.beta.shape[1:]
-    s_all = np.concatenate([np.array(s_list[::-1]), s0 + h * np.arange(tail.beta.shape[0])])
-    b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *shape), tail.beta])
-    db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *shape), tail.dbeta])
+    shape = tail.beta1.shape[1:]
+    s_all = np.concatenate([np.array(s_list[::-1]), tail.S_values])
+    b_all = np.concatenate([np.array(b_list[::-1]).reshape(-1, *shape), tail.beta1])
+    db_all = np.concatenate([np.array(db_list[::-1]).reshape(-1, *shape), tail.dbeta1])
     return s_all, b_all, db_all, pole_at
 
 
@@ -555,7 +593,7 @@ def test_continuation_matches_step_loop(c, delta, s_min):
 def test_continuation_pole_matches_step_loop(monkeypatch):
     tail = hm_tail_picard(CouplingMatrix(np.array([[1.2]])), [0.0], 2.0)
     ref = _loop_continue(tail, -3.0)
-    good = ref[0].size - tail.beta.shape[0]   # the step from this node blows up
+    good = ref[0].size - tail.S_values.size   # the step from this node blows up
     assert good % ncp2._CHUNK not in (0, ncp2._CHUNK - 1)
     # the default chunk puts the blow-up inside a chunk; then on a chunk's
     # last row, and on the first row of the next chunk
@@ -565,3 +603,15 @@ def test_continuation_pole_matches_step_loop(monkeypatch):
             ncp2.hm_continue(tail, -3.0)
         assert exc.value.pole_at == ref[3] and -1.2 < ref[3] < -1.1
         _assert_same_grid(exc.value.grid, ref)
+
+
+@pytest.mark.parametrize("c", [1.1, 1.05])
+def test_pole_bisection_advance_matches_step_loop(c):
+    # here a halved step from the last good node stays finite (the first
+    # halving for 1.1, the third for 1.05), so the bracket and state move left
+    tail = hm_tail_picard(CouplingMatrix(np.array([[c]])), [0.0], 2.0)
+    ref = _loop_continue(tail, -3.0)
+    with pytest.raises(PoleEncountered) as exc:
+        ncp2.hm_continue(tail, -3.0)
+    assert exc.value.pole_at == ref[3]
+    _assert_same_grid(exc.value.grid, ref)

@@ -30,7 +30,7 @@ def _load_run():
     return run
 
 
-def test_tracer_installs_on_live_package():
+def test_tracer_installs_on_live_package(fresh_cache):
     run = _load_run()
     nc, lib = run.import_ncairy()
     tracer = run.Tracer(nc, lib)
@@ -41,8 +41,7 @@ def test_tracer_installs_on_live_package():
         tracer.install_spans()
         tracer.set_spans(True)
         # S_min below the tail start, so the continuation takes RK4 steps
-        grid = lib.hm_solve(lib.CouplingMatrix(np.array([[0.5]])), [0.0], S_min=1.5,
-                            cached=False)
+        grid = lib.hm_solve(lib.CouplingMatrix(np.array([[0.5]])), [0.0], S_min=1.5)
         grid.int_beta_sq(3.0)
         # one half-line and one contour determinant: spans.py binds their arguments
         s, c = lib.ShiftVector(np.array([2.0])), lib.CouplingMatrix(np.array([[0.5]]))
