@@ -50,17 +50,12 @@ from .ncp34 import (
 from .tw import (
     GapQuery,
     GapResult,
-    de_bruijn_check,
     det_airy,
     det_airy_sq,
     existence_scan,
-    miura_residual,
-    p34_scalar_residual,
     scalar_f1,
     scalar_f2,
     scalar_u,
-    scalar_w_checks,
-    total_positivity_check,
 )
 
 __all__ = [
@@ -76,7 +71,5 @@ __all__ = [
     "P34State", "p34_state", "p34_residual", "lax_b", "vd_at",
     "zero_curvature_residual_p34",
     "GapQuery", "GapResult", "det_airy", "det_airy_sq", "scalar_f1",
-    "scalar_f2", "scalar_u", "scalar_w_checks", "p34_scalar_residual",
-    "miura_residual", "total_positivity_check", "de_bruijn_check",
-    "existence_scan",
+    "scalar_f2", "scalar_u", "existence_scan",
 ]

@@ -33,19 +33,7 @@ from .ncp2 import (
     zero_curvature_residual_p2,
 )
 from .ncp34 import p34_residual, p34_state, zero_curvature_residual_p34
-from .tw import (
-    GapQuery,
-    de_bruijn_check,
-    det_airy,
-    det_airy_sq,
-    existence_scan,
-    miura_residual,
-    p34_scalar_residual,
-    scalar_f1,
-    scalar_f2,
-    scalar_w_checks,
-    total_positivity_check,
-)
+from .tw import GapQuery, det_airy, det_airy_sq, existence_scan, scalar_f1, scalar_f2
 
 __all__ = ["run_all", "run_check", "CHECKS"]
 
@@ -491,26 +479,102 @@ def check_subcritical_positivity(rng) -> tuple[bool, str]:
 
 
 def check_total_positivity(rng) -> tuple[bool, str]:
+    # random [K(xi_a, xi_b)] of order 1 to 4, at points (level, position >= -5):
+    # the squared kernel defines a determinantal process, so each determinant
+    # must be nonnegative up to rounding
     s = ShiftVector(np.array([0.0, 0.3]))
-    drawn = total_positivity_check(s, _C_REAL_SYM, trials=100,
-                                   seed=int(rng.integers(0, 2 ** 31)))
-    fixed = total_positivity_check(s, _C_REAL_SYM, trials=100, seed=0)
+
+    def min_det(seed: int) -> float:
+        draws = np.random.default_rng(seed)
+        worst = math.inf
+        for _ in range(100):
+            k = int(draws.integers(1, 5))
+            levels = draws.integers(0, s.r, size=k)
+            xs = draws.uniform(-5.0, 5.0, size=k)
+            mat = np.empty((k, k))
+            for a in range(k):
+                for b in range(k):
+                    block = matrix_airy_sq_kernel(xs[a], xs[b], s, _C_REAL_SYM)
+                    mat[a, b] = float(np.real(block[levels[a], levels[b]]))
+            worst = min(worst, float(np.linalg.det(mat)))
+        return worst
+
+    drawn = min_det(int(rng.integers(0, 2 ** 31)))
+    fixed = min_det(0)
     ok = drawn >= -1e-10 and fixed > -1e-12
     return ok, f"min det {drawn:.3e} (seed 0 trials {fixed:.3e})"
 
 
 def check_de_bruijn(rng) -> tuple[bool, str]:
+    # the K = 2 determinant at (j1, x1), (j2, x2) equals
+    # 1/2 sum_{k1,k2} int int det[F] det[G] (real C, G the transposed-coupling
+    # factor; for symmetric C the product is det[F]^2)
     s = ShiftVector(np.array([0.0, 0.3]))
-    det_val, rel = de_bruijn_check(s, _C_REAL_SYM, ((0, 0.2), (1, -0.4)))
+    (j1, x1), (j2, x2) = (0, 0.2), (1, -0.4)
+    k11 = np.real(matrix_airy_sq_kernel(x1, x1, s, _C_REAL_SYM)[j1, j1])
+    k12 = np.real(matrix_airy_sq_kernel(x1, x2, s, _C_REAL_SYM)[j1, j2])
+    k21 = np.real(matrix_airy_sq_kernel(x2, x1, s, _C_REAL_SYM)[j2, j1])
+    k22 = np.real(matrix_airy_sq_kernel(x2, x2, s, _C_REAL_SYM)[j2, j2])
+    det_val = float(k11 * k22 - k12 * k21)
+    quad = half_line_rule(120, 40.0)
+    z, wz = quad.nodes, quad.weights
+    c = np.real(_C_REAL_SYM.entries)
+
+    def airy_of(j, x, k):
+        ai, _ = ai_arrays(x + s.s[j] + z + s.s[k])
+        return ai
+
+    total = 0.0
+    for k1 in range(s.r):
+        a11 = airy_of(j1, x1, k1)
+        a21 = airy_of(j2, x2, k1)
+        for k2 in range(s.r):
+            a12 = airy_of(j1, x1, k2)
+            a22 = airy_of(j2, x2, k2)
+            # det over (point a, integration slot c); z1 at level k1, z2 at k2
+            d_f = (c[j1, k1] * a11)[:, None] * (c[j2, k2] * a22)[None, :] \
+                - (c[j1, k2] * a12)[None, :] * (c[j2, k1] * a21)[:, None]
+            d_g = (c[k1, j1] * a11)[:, None] * (c[k2, j2] * a22)[None, :] \
+                - (c[k1, j2] * a21)[:, None] * (c[k2, j1] * a12)[None, :]
+            total += float(np.einsum("a,b,ab->", wz, wz, d_f * d_g))
+    total *= 0.5
+    rel = abs(total - det_val) / max(abs(det_val), 1e-300)
     ok = rel <= 1e-4 and det_val >= -1e-12
     return ok, f"rel err {rel:.3e}, det {det_val:.3e}"
 
 
 def check_miura(rng) -> tuple[bool, str]:
-    m0, remiu0 = miura_residual(0.0)
-    worst = max(m0, remiu0, *miura_residual(0.5))
+    # r = 1, c = 1: tau_Xi = det(Id - Ai^2) and tau_Gamma = det(Id - Ai) by
+    # Nystrom on a 7-point stencil of shifts.  miura is
+    # |(d ln tau_Xi - 2 d ln tau_Gamma)^2 + d^2 ln tau_Xi|, and remiu checks
+    # u = -v^2 +- v' for u = 2 d^2 ln tau_Gamma, v^2 = -d^2 ln tau_Xi
+    def log_det(det, s: float) -> float:
+        q = GapQuery(ShiftVector(np.array([s])), _C1, "nystrom")
+        return float(np.log(np.real(det(q).nystrom.value)))
+
+    def defects(s_center: float, h: float = 1e-2) -> tuple[float, float]:
+        ks = np.arange(-3, 4)
+        lxi = np.array([log_det(det_airy_sq, s_center + k * h) for k in ks])
+        lga = np.array([log_det(lambda q: det_airy(q, -1), s_center + k * h) for k in ks])
+
+        def d1(f, i):
+            return (f[i + 1] - f[i - 1]) / (2.0 * h)
+
+        def d2(f, i):
+            return (f[i + 1] - 2.0 * f[i] + f[i - 1]) / (h * h)
+
+        mid = 3
+        miura = abs((d1(lxi, mid) - 2.0 * d1(lga, mid)) ** 2 + d2(lxi, mid))
+        v = np.array([math.sqrt(max(-d2(lxi, i), 0.0)) for i in (2, 3, 4)])
+        vp = (v[2] - v[0]) / (2.0 * h)
+        u = 2.0 * d2(lga, mid)
+        remiu = min(abs(u - (-v[1] ** 2 + vp)), abs(u - (-v[1] ** 2 - vp)))
+        return miura, remiu
+
+    m0, remiu0 = defects(0.0)
+    worst = max(m0, remiu0, *defects(0.5))
     # O(h^2): halving the stencil step divides the defect by about 4
-    ratio = miura_residual(0.0, h=2e-2)[0] / m0
+    ratio = defects(0.0, h=2e-2)[0] / m0
     ok = worst <= 1e-4 and ratio > 2.5
     return ok, f"max defect {worst:.3e}, halving ratio {ratio:.1f}"
 
@@ -536,9 +600,26 @@ def check_scalar_chain(rng) -> tuple[bool, str]:
         int_u = -2.0 * float(np.real(grid.int_tr_beta(0.5 * x)))
         lhs = scalar_f1(x) ** 2 * math.exp(int_u)
         worst_prod = max(worst_prod, abs(lhs - scalar_f2(x)) / scalar_f2(x))
-    worst_alt = max(abs(scalar_w_checks(x)[1] - scalar_f1(x)) / scalar_f1(x)
-                    for x in (-2.0, -1.0, 0.0, 1.0, 1.5))
-    worst_w = max(p34_scalar_residual(x) for x in (-2.0, 0.0, 2.0))
+    # F1 = exp(-int_x^inf (y-x) w dy) for w = u^2/2 - u'/2, with
+    # int_x^inf (y-x) w dy = 2 int_{x/2}^inf (t-x/2) beta^2 dt - int beta
+    worst_alt = 0.0
+    for x in (-2.0, -1.0, 0.0, 1.0, 1.5):
+        iw = 2.0 * np.real(grid.int_t_beta_sq(0.5 * x)) - np.real(grid.int_tr_beta(0.5 * x))
+        worst_alt = max(worst_alt, abs(float(np.exp(-iw)) - scalar_f1(x)) / scalar_f1(x))
+
+    # the defect of w''' = 12 w w' + 2 w + x w' by finite differences in x
+    def w_at(x: float) -> float:
+        b = float(np.real(grid.beta1_at(0.5 * x)[0, 0]))
+        db = float(np.real(grid.dbeta1_at(0.5 * x)[0, 0]))
+        return 0.5 * b * b + 0.25 * db
+
+    dx = 2.0 * grid.h
+    worst_w = 0.0
+    for x in (-2.0, 0.0, 2.0):
+        ws = np.array([w_at(x + k * dx) for k in range(-2, 3)])
+        wp = (ws[0] - 8.0 * ws[1] + 8.0 * ws[3] - ws[4]) / (12.0 * dx)
+        wppp = (-ws[0] + 2.0 * ws[1] - 2.0 * ws[3] + ws[4]) / (2.0 * dx ** 3)
+        worst_w = max(worst_w, abs(wppp - (12.0 * ws[2] * wp + 2.0 * ws[2] + x * wp)))
     ok = worst_f2 <= 1e-6 and worst_prod <= 1e-6 and worst_alt <= 1e-5 and worst_w <= 1e-4
     return ok, (f"F2 {worst_f2:.3e}, product identity {worst_prod:.3e}, "
                 f"alt F1 {worst_alt:.3e}, w residual {worst_w:.3e}")

@@ -7,6 +7,8 @@ name the checks that hold their cases; the ``*_can_fail`` tests show that a
 check FAILs on a planted defect.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,46 @@ def test_hm_asymptotic_matching_can_fail(monkeypatch):
     monkeypatch.setattr(ncp2, "_GRID_CACHE", {})
     ok, line = run_check(NAMES.index("hm_asymptotic_matching"), seed=0)
     assert not ok and "rel err 2.0" in line, line
+
+
+def test_total_positivity_can_fail(monkeypatch):
+    # the negated kernel makes every order-1 minor negative: min det about -0.29
+    real = verify.matrix_airy_sq_kernel
+    monkeypatch.setattr(verify, "matrix_airy_sq_kernel", lambda *a: -real(*a))
+    ok, line = run_check(NAMES.index("total_positivity"), seed=0)
+    assert not ok, line
+
+
+def test_de_bruijn_can_fail(monkeypatch):
+    # Ai 1e-3 too large in the double integral only: the four Airy factors
+    # of each term put the relative error near 4e-3
+    real = verify.ai_arrays
+    monkeypatch.setattr(verify, "ai_arrays", lambda x: tuple(1.001 * v for v in real(x)))
+    ok, line = run_check(NAMES.index("de_bruijn"), seed=0)
+    assert not ok, line
+
+
+def test_scalar_chain_can_fail(monkeypatch):
+    # F1 1e-4 too large breaks the alternative F1 (bound 1e-5) and the
+    # product identity (bound 1e-6)
+    real = verify.scalar_f1
+    monkeypatch.setattr(verify, "scalar_f1", lambda x: (1.0 + 1e-4) * real(x))
+    ok, line = run_check(NAMES.index("scalar_chain"), seed=0)
+    assert not ok, line
+
+
+def test_miura_can_fail(monkeypatch):
+    # tau_Xi times exp(1e-3 S^2) adds 2e-3 to d^2 ln tau_Xi: the defect reads
+    # about 7e-3.  A sign flip of det(Id - Ai) would pass: the identity is
+    # symmetric under det(Id - Ai) -> det(Id + Ai)
+    real = verify.det_airy_sq
+
+    def perturbed(q, *a):
+        res = real(q, *a)
+        bump = np.exp(1e-3 * q.s.S ** 2)
+        nys = dataclasses.replace(res.nystrom, value=res.nystrom.value * bump)
+        return dataclasses.replace(res, nystrom=nys)
+
+    monkeypatch.setattr(verify, "det_airy_sq", perturbed)
+    ok, line = run_check(NAMES.index("miura"), seed=0)
+    assert not ok, line

@@ -12,7 +12,6 @@ from ncairy import (
     ShiftVector,
     det_airy,
     det_airy_sq,
-    p34_scalar_residual,
     scalar_f1,
     scalar_f2,
     scalar_u,
@@ -89,18 +88,10 @@ def test_scalar_u_is_positive_decaying():
 
 
 @pytest.mark.parametrize("x", [-8.2, math.nan, 20.5])
-@pytest.mark.parametrize("fn", [scalar_f2, scalar_u, p34_scalar_residual])
+@pytest.mark.parametrize("fn", [scalar_f2, scalar_u])
 def test_scalar_chain_range_guard(fn, x):
     with pytest.raises(OutOfRange, match="scalar distributions are supported"):
         fn(x)
-
-
-@pytest.mark.parametrize("x", [19.997, 19.998, 20.0])
-def test_p34_scalar_residual_names_its_own_bound(x):
-    # the stencil reaches x + 4h, so the residual stops 4h below the chain's top
-    assert p34_scalar_residual(19.996) <= 1e-4
-    with pytest.raises(OutOfRange, match=r"p34_scalar_residual is supported for -8 <= x <= 19\.996"):
-        p34_scalar_residual(x)
 
 
 def test_p34_scalar_residual(assert_checks):
