@@ -212,7 +212,7 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
         rec = {"kind": "contour", "sign": args.sign, "value": complex(d.value),
                "log_abs": d.log_abs, "nodes_used": d.nodes_used,
                "est_error": d.est_error, "converged": d.converged}
-        return [rec], 0
+        return [rec], 0 if d.converged else 1
     if args.kind == "airy2":
         res = det_airy_sq(q, m=cfg.quad_nodes)
     else:
@@ -226,7 +226,8 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
         rec["painleve"] = complex(res.painleve)
     if res.diff is not None:
         rec["diff"] = float(res.diff)
-    return [rec], 1 if res.agree is False else 0
+    unconverged = res.nystrom is not None and not res.nystrom.converged
+    return [rec], 1 if res.agree is False or unconverged else 0
 
 
 def _points(args) -> list:

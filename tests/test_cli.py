@@ -197,6 +197,19 @@ def test_det_routes_disagree_exit_one(capsys):
     assert out.startswith("kind,sign,route,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["det", "--shifts=-6", "--kind", "airy2", "--route", "nystrom"],
+    ["det", "--kind", "contour", "--coupling", "1.2", "--shifts=-1.2", "--sign", "-1",
+     "--nodes", "60"],
+], ids=["half_line", "contour"])
+def test_det_unconverged_exit_one(capsys, argv):
+    # the value still prints, with an error estimate above the 1e-10 refinement tol
+    code, out, _ = _run(argv + ["--format", "json"], capsys)
+    assert code == 1
+    (rec,) = json.loads(out)
+    assert rec["est_error"] > 1e-10
+
+
 @pytest.mark.parametrize("tol", ["1e-12", "nan"])
 def test_det_tol_below_floor_exit_two(capsys, tol):
     code, out, err = _run(["det", "--kind", "airy2", "--route", "both", "--tol", tol], capsys)

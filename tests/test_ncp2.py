@@ -340,23 +340,34 @@ DEPTH_CASES = {
     2: (C2.entries, D2),
     3: (C3.entries, [-0.2, 0.1, 0.35]),
 }
+# a slice, a continuation, a hit, a slice of the continued grid, a hit
+DEPTH_S_MIN = (0.3, -0.9, -0.4, -0.6, -0.9)
+
+
+@pytest.fixture(scope="module")
+def depth_refs():
+    """(r, S_min) -> a fresh solve of DEPTH_CASES[r] to S_min, for each S_min in DEPTH_S_MIN.
+
+    Built once for the module, before any test's solve_counter starts counting.
+    """
+    return {(r, s_min): _fresh(CouplingMatrix(entries), delta, s_min)
+            for r, (entries, delta) in DEPTH_CASES.items() for s_min in set(DEPTH_S_MIN)}
 
 
 @pytest.mark.parametrize("first", ["plus", "minus"])
 @pytest.mark.parametrize("r", sorted(DEPTH_CASES))
-def test_other_depths_match_fresh_solve(r, first, fresh_cache, solve_counter):
+def test_other_depths_match_fresh_solve(r, first, depth_refs, fresh_cache, solve_counter):
     # one solve for C or -C serves C at a shallower S_min (a slice) and at a
-    # deeper one (a continuation from the cached left node)
+    # deeper one (a continuation from the cached left node); for
+    # first == "minus" the slice and the continuation come from -C
     entries, delta = DEPTH_CASES[r]
     c = CouplingMatrix(entries)
     hm_solve(c if first == "plus" else c.negated(), delta, S_min=-0.4)
-    # a slice, a continuation, a hit, a slice of the continued grid, a hit;
-    # for first == "minus" the slice and the continuation come from -C
-    for i, s_min in enumerate((0.3, -0.9, -0.4, -0.6, -0.9)):
+    for s_min in DEPTH_S_MIN:
         grid = hm_solve(c, delta, S_min=s_min)
         assert hm_solve(c, delta, S_min=s_min) is grid and grid.C is c
-        assert len(solve_counter) == 1 + i   # one solve, and the fresh references
-        _assert_same_solve(grid, _fresh(c, delta, s_min), mirrored=first == "minus")
+        assert len(solve_counter) == 1   # exactly one tail solve
+        _assert_same_solve(grid, depth_refs[r, s_min], mirrored=first == "minus")
 
 
 def test_extension_pole_in_first_chunk(fresh_cache, solve_counter):
