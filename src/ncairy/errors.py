@@ -1,5 +1,8 @@
 """Exception types shared by all ncairy modules."""
 
+__all__ = ["NcairyError", "DomainError", "OverflowRisk", "ConvergenceFailure",
+           "NoContraction", "OutOfRange", "PoleEncountered"]
+
 
 class NcairyError(Exception):
     """Base class for all errors raised by this package."""

@@ -37,9 +37,6 @@ __all__ = [
     "ncp2_residual",
     "lax_matrices",
     "zero_curvature_residual_p2",
-    "SIGMA1",
-    "SIGMA2",
-    "SIGMA3",
 ]
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
