@@ -59,6 +59,7 @@ _DEFAULTS = vars(RunConfig())   # field name -> default value
 # flag of each list setting -> its RunConfig field (a field name is also its config key)
 _LIST_FLAGS = {"--shifts": "shifts", "--coupling": "coupling_re", "--coupling-im": "coupling_im"}
 _FORMATS = ("csv", "json")
+_MAX_ROWS = 10**6   # a longer table is refused before its abscissae are built
 
 
 def _parse_value(key: str, text):
@@ -190,6 +191,8 @@ def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(**values)
     if cfg.output_format not in _FORMATS:
         raise ValueError(f"unknown output format: {cfg.output_format}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative: {cfg.seed}")
     if len(cfg.shifts) != cfg.r and len(cfg.shifts) == 1:
         cfg.shifts = cfg.shifts * cfg.r
     if len(cfg.shifts) != cfg.r:
@@ -233,7 +236,8 @@ def _cmd_det(cfg: RunConfig, args) -> tuple[list, int]:
 def _points(args) -> list:
     """The table abscissae --from, --from + --step, ... up to --to; all must be finite.
 
-    --to may equal --from (one row) but not lie below it.
+    --to may equal --from (one row) but not lie below it, and the table may
+    have at most _MAX_ROWS rows.
     """
     if not (math.isfinite(args.step) and args.step > 0.0):
         raise DomainError("--step must be finite and positive")
@@ -242,7 +246,10 @@ def _points(args) -> list:
         raise DomainError("--from and --to must be finite")
     if n < 0.0:
         raise DomainError("--to must not lie below --from")
-    return [args.xfrom + k * args.step for k in range(int(round(n)) + 1)]
+    rows = int(round(n)) + 1
+    if rows > _MAX_ROWS:
+        raise DomainError(f"table of {rows} rows exceeds {_MAX_ROWS}")
+    return [args.xfrom + k * args.step for k in range(rows)]
 
 
 def _cmd_hm_solve(cfg: RunConfig, args) -> tuple[list, int]:
@@ -273,8 +280,8 @@ def _cmd_scalar(cfg: RunConfig, args) -> tuple[list, int]:
 
 def _cmd_scan(cfg: RunConfig, args) -> tuple[list, int]:
     c = cfg.coupling()
-    n = max(len(_points(args)), 2)
-    samples, crossing = existence_scan(c, args.xfrom, args.xto, n=n, m=cfg.quad_nodes)
+    xs = _points(args)
+    samples, crossing = existence_scan(c, xs[0], xs[-1], n=max(len(xs), 2), m=cfg.quad_nodes)
     records = [{"s": sv, "det": dv} for sv, dv in samples]
     if crossing is not None:
         print(f"# zero crossing at s = {crossing:.6f}", file=sys.stderr)

@@ -68,6 +68,14 @@ def _check_step(h: float) -> None:
         raise DomainError("continuation step must satisfy 0 < h <= 1e-2")
 
 
+def _check_delta(C: CouplingMatrix, delta) -> np.ndarray:
+    """delta as a float array; DomainError unless it is 1-D, finite and of length C.r."""
+    delta = np.atleast_1d(np.asarray(delta, dtype=float))
+    if delta.shape != (C.r,) or not np.all(np.isfinite(delta)):
+        raise DomainError("delta must be a finite 1-D array of length r")
+    return delta
+
+
 def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> HMGrid:
     """Fixed-point solve of the tail integral equation on the h-grid of [S0, S0 + 8].
 
@@ -84,11 +92,12 @@ def hm_tail_picard(C: CouplingMatrix, delta, S0: float, h: float = 1e-3) -> HMGr
     with S_tail = S0 and the number of sweeps taken.  Raises NoContraction if
     the change grows for three consecutive sweeps (S0 too far left),
     ConvergenceFailure after 200, and DomainError if Bi or Bi' overflows on
-    the grid (S0 above about 44).
+    the grid (S0 above about 44), or if delta is not a finite vector of
+    length r.
     """
     _check_step(h)
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    m = float(np.max(np.abs(delta))) if delta.size else 0.0
+    delta = _check_delta(C, delta)
+    m = float(np.max(np.abs(delta)))
     if S0 < 1.0 + m:
         raise DomainError("tail start S0 must satisfy S0 >= 1 + max|delta|")
     s = S0 + h * np.arange(round(8.0 / h) + 1)
@@ -433,10 +442,11 @@ def _from_cache(C: CouplingMatrix, config: tuple) -> HMGrid | None:
 
 
 def _tail(C: CouplingMatrix, delta: np.ndarray, s0: float, h: float) -> HMGrid:
-    """hm_tail_picard from s0, with the start raised by 0.5 (at most four times) on NoContraction."""
+    """hm_tail_picard from s0, with the start raised by the multiple of h nearest 0.5
+    (at most four times) on NoContraction, so it stays on the h-lattice."""
     for attempt in range(5):
         try:
-            return hm_tail_picard(C, delta, s0 + 0.5 * attempt, h)
+            return hm_tail_picard(C, delta, s0 + attempt * round(0.5 / h) * h, h)
         except NoContraction as exc:
             last_exc = exc
     raise last_exc
@@ -446,10 +456,11 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
              s0: float = 2.0) -> HMGrid:
     """Tail Picard solve plus leftward continuation, with adaptive tail start.
 
-    The tail start is raised by 0.5 (at most four times) if the Picard map
-    fails to contract.  The start is snapped to the nearest multiple of h,
-    or the next one up where the nearest lies below 1 + max|delta|, so query
-    points that are multiples of h land exactly on grid nodes.
+    The start is snapped to the nearest multiple of h, or the next one up
+    where the nearest lies below 1 + max|delta|, so query points that are
+    multiples of h land exactly on grid nodes.  If the Picard map fails to
+    contract, the start is raised by the multiple of h nearest 0.5 (at most
+    four times), which keeps it on that lattice.
 
     The cache keeps the 32 most recently used grids, each under its request
     (C, delta, S_min, h, s0).  A request that misses takes its source grid
@@ -468,16 +479,17 @@ def hm_solve(C: CouplingMatrix, delta, S_min: float = -1.5, h: float = 1e-3,
     beta1(-C) = -beta1(C), and every step of the solve preserves this
     exactly, since rounding is symmetric in sign (only the sign of an exact
     zero can differ).  A grid for -C therefore serves C as its exact
-    negation, in each of the cases above.  A non-finite s0 or S_min, or a
-    step outside 0 < h <= 1e-2, raises DomainError before any work.
+    negation, in each of the cases above.  A non-finite s0 or S_min, a
+    step outside 0 < h <= 1e-2, or a delta that is not a finite vector of
+    length r raises DomainError before any work.
     """
     if not math.isfinite(s0):
         raise DomainError("tail start s0 must be finite")
     if not math.isfinite(S_min):
         raise DomainError("S_min must be finite")
     _check_step(h)
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    m = float(np.max(np.abs(delta))) if delta.size else 0.0
+    delta = _check_delta(C, delta)
+    m = float(np.max(np.abs(delta)))
     s0 = max(s0, 1.0 + m)
     k = round(s0 / h)
     if k * h < 1.0 + m:  # the nearest multiple of h fell below the tail's domain

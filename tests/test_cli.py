@@ -111,6 +111,19 @@ def test_config_file_and_override(tmp_path, capsys):
     assert out != out2
 
 
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n# a comment only\n   \nr = 2  # levels\n")
+    assert load_config(str(cfg)) == {"r": 2}
+
+
+def test_config_line_without_equals_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r 2\n")
+    code, out, err = _run(["det", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", "error: malformed config line: r 2\n")
+
+
 def test_config_env_fallback(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "env.cfg"
     cfg.write_text("r = 1\nshifts = 0.5\ncoupling_re = 0.8\n")
@@ -125,6 +138,26 @@ def test_bad_input_exit_two(capsys):
     assert "error" in err
     code, _, _ = _run(["det", "--kind", "bogus"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["--r", "2", "--shifts", "0,0.1,0.2", "--coupling", "1,0,0,1"], "shifts length"),
+    (["--r", "1", "--coupling-im", "0.1,0.2"], "coupling-im length"),
+], ids=["shifts", "coupling-im"])
+def test_list_length_mismatch_exit_two(capsys, argv, msg):
+    code, out, err = _run(["det", *argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {msg} does not match r")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exit_two(tmp_path, capsys, source):
+    # a seed verify cannot use is bad input, not 32 failed checks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    argv = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = _run(["verify", *argv], capsys)
+    assert (code, out, err) == (2, "", "error: seed must be non-negative: -1\n")
 
 
 @pytest.mark.parametrize("spaced,glued", [
@@ -246,6 +279,17 @@ def test_table_reversed_range_exit_two(capsys, argv):
     code, out, err = _run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: --to")
+
+
+@pytest.mark.parametrize("command", ["f1", "f2", "hm-solve", "scan"])
+def test_table_row_bound_exit_two(monkeypatch, capsys, command):
+    # a lowered bound, so no test ever asks for an unbounded table
+    monkeypatch.setattr(cli, "_MAX_ROWS", 4)
+    argv = [command, "--from", "2", "--to", "3", "--step", "0.25"]   # 5 rows
+    code, out, err = _run(argv, capsys)
+    assert (code, out, err) == (2, "", "error: table of 5 rows exceeds 4\n")
+    monkeypatch.setattr(cli, "_MAX_ROWS", 5)
+    assert len(cli._points(cli._build_parser().parse_args(argv))) == 5
 
 
 def test_table_equal_range_one_row(capsys):
@@ -457,6 +501,19 @@ def test_scan_reports_samples(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "s,det"
     assert "zero crossing" in err
+
+
+def test_scan_samples_table_rows(capsys):
+    # the rows --from + k --step that f2 prints with the same flags, not a
+    # linspace to --to
+    flags = ["--coupling", "1", "--from", "0", "--to", "1", "--step", "0.3"]
+    code, out, _ = _run(["scan", *flags], capsys)
+    assert code == 0
+    code, f2_out, _ = _run(["f2", *flags], capsys)
+    assert code == 0
+    scan_s = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert scan_s == [line.split(",")[0] for line in f2_out.splitlines()[1:]]
+    assert [float(s) for s in scan_s] == pytest.approx([0.0, 0.3, 0.6, 0.9], abs=1e-12)
 
 
 def test_verify_subset_passes(assert_checks):

@@ -49,6 +49,16 @@ def test_gauss_legendre_symmetry_and_bounds():
         gauss_legendre(1)
 
 
+@pytest.mark.parametrize("nodes,weights,match", [
+    ([0.0, 0.5], [1.0], "counts differ"),
+    ([0.0, 0.5], [1.0, 0.0], "positive"),
+    ([0.0, 0.5], [1.0, -1.0], "positive"),
+], ids=["shapes", "zero-weight", "negative-weight"])
+def test_quadrature_rule_rejects_bad_input(nodes, weights, match):
+    with pytest.raises(DomainError, match=match):
+        QuadratureRule(np.array(nodes), np.array(weights), 0.0, 1.0)
+
+
 def test_gauss_legendre_built_once_and_read_only():
     rule = gauss_legendre(37)
     assert gauss_legendre(37) is rule

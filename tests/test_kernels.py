@@ -90,6 +90,17 @@ def test_shift_coupling_validation():
         CouplingMatrix(np.array([[1.0, 2.0]]))
 
 
+def test_shift_vector_rejects_2d():
+    with pytest.raises(DomainError, match="1-D"):
+        ShiftVector(np.array([[0.0, 0.1]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+def test_coupling_rejects_nonfinite(bad):
+    with pytest.raises(DomainError, match="finite"):
+        CouplingMatrix(np.array([[0.5, bad], [0.0, 0.5]]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_scalar_kernel_rejects_nonfinite(bad):
     with pytest.raises(DomainError):

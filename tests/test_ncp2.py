@@ -130,6 +130,12 @@ def test_tail_solve_rejects_bad_step(h):
         hm_tail_picard(C1, [0.0], 2.0, h)
 
 
+def test_tail_solve_rejects_start_below_domain():
+    # S0 = 1.2 < 1 + max|delta| = 1.3
+    with pytest.raises(DomainError, match="S0 >= 1"):
+        hm_tail_picard(C2, D2, 1.2)
+
+
 def test_tail_start_past_bi_overflow_raises(fresh_cache):
     # Bi(2 S + a) overflows once 2 (S0 + 8) passes about 104
     with warnings.catch_warnings():
@@ -192,6 +198,39 @@ def test_hm_solve_rejects_bad_start_and_step(kw, fresh_cache, solve_counter):
     with pytest.raises(DomainError):
         hm_solve(C1, [0.0], **kw)
     assert not solve_counter and not fresh_cache   # before any work
+
+
+@pytest.mark.parametrize("delta", [[0.0, math.inf], [0.0, math.nan], [0.0, 0.1, 0.2],
+                                   [0.0], [[0.0, 0.1]]])
+def test_bad_delta_raises_before_any_work(delta, fresh_cache, solve_counter):
+    # non-finite, the wrong length for r = 2 (too long or broadcast), and 2-D
+    with pytest.raises(DomainError, match="delta"):
+        hm_solve(C2, delta, S_min=1.0)
+    assert not solve_counter and not fresh_cache
+    with pytest.raises(DomainError, match="delta"):
+        hm_tail_picard(C2, delta, 2.0)
+
+
+# pole-free, but the Picard map from 2.0 does not contract
+C_RETRY = CouplingMatrix(np.array([[0.0, -1e4], [1e4, 0.0]]))
+
+
+def test_retried_tail_start_matches_fresh_solve(fresh_cache, solve_counter):
+    grid = hm_solve(C_RETRY, [0.0, 0.0], S_min=1.0)
+    assert [a[2] for a in solve_counter] == [2.0, 2.5]
+    ref = ncp2.hm_continue(ncp2.hm_tail_picard(C_RETRY, [0.0, 0.0], 2.5), 1.0)
+    assert grid.S_tail == ref.S_tail == 2.5
+    for name in ("S_values", "beta1", "dbeta1"):
+        assert getattr(grid, name).tobytes() == getattr(ref, name).tobytes()
+
+
+def test_retried_tail_start_stays_on_h_lattice(fresh_cache, solve_counter):
+    # h does not divide 0.5: the start is raised by 167 h, not by 0.5
+    h = 3e-3
+    grid = hm_solve(C_RETRY, [0.0, 0.0], S_min=2.0, h=h)
+    assert len(solve_counter) == 2
+    assert abs(grid.S_tail / h - round(grid.S_tail / h)) < 1e-9
+    assert grid.S_values[grid.index_of(2.4)] == pytest.approx(2.4, abs=1e-12)
 
 
 def test_continue_rejects_nonfinite_s_min():

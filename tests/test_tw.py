@@ -7,6 +7,7 @@ import pytest
 
 from ncairy import (
     CouplingMatrix,
+    DomainError,
     GapQuery,
     OutOfRange,
     ShiftVector,
@@ -45,6 +46,19 @@ def test_route_verdict_is_bool_or_none():
     for route in ("nystrom", "painleve"):
         res = det_airy_sq(GapQuery(s, c, route))
         assert res.diff is None and res.agree is None
+
+
+def test_gap_query_rejects_unknown_route():
+    s = ShiftVector(np.array([1.0]))
+    c = CouplingMatrix(np.array([[0.8]]))
+    with pytest.raises(DomainError, match="route"):
+        GapQuery(s, c, "contour")
+
+
+def test_det_airy_rejects_sign_zero():
+    q = GapQuery(ShiftVector(np.array([1.0])), CouplingMatrix(np.array([[0.8]])), "nystrom")
+    with pytest.raises(DomainError, match="sign"):
+        det_airy(q, 0)
 
 
 def test_factorization_identity(assert_checks):
