@@ -5,7 +5,7 @@ Evaluation strategy (seams validated by the airy_seam_continuity check in verify
 * ``x <= -9.5``        oscillatory asymptotic expansions, optimally truncated;
 * ``-9.5 < x < -4.5``  Taylor propagation of the Airy ODE y'' = x y from an
   anchor ladder seeded by the Maclaurin series at x = -4.5;
-* ``-4.5 <= x < 0``    Maclaurin series;
+* ``-4.5 <= x < 0``    Maclaurin series, each point stopping on its own terms;
 * ``0 <= x < 9.5``     Taylor anchor ladders: Ai is propagated *downward* from
   the asymptotic seed at x = 9.5 (the stable direction for the recessive
   solution), Bi *upward* from its exact value at x = 0;
@@ -80,16 +80,26 @@ def _series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     x = np.asarray(x, dtype=float)
     x3 = x * x * x
     one = np.ones_like(x)
+    # On [-4.5, 0), where the dispatch sends the series, |f| < 1, so a point stops once its
+    # f and g terms fall below 1e-20, and those terms never round smaller for a larger |x|.
+    # The points run in order of x: the ones still summing are a prefix, which shrinks as
+    # the smaller |x| stop.  Each value is the one its own one-point evaluation gives.
+    order = np.argsort(x)
+    x3 = x3[order]
     # rows f, g, f', g' with Ai = C1 f - C2 g and Bi = sqrt(3) (C1 f + C2 g), likewise for Ai', Bi'
-    sums = np.stack([one, x, 0.5 * x * x, one])
+    sums = np.stack([one, x, 0.5 * x * x, one])[:, order]
     term = sums.copy()
+    n = x.size
     for den in _SERIES_DEN:
-        term *= x3
-        term /= den
-        sums += term
-        if np.max(np.abs(term[:2])) < 1e-20 * max(1.0, np.max(np.abs(sums[0]))):
-            break
-    f, g, fp, gp = sums
+        term[:, :n] *= x3[:n]
+        term[:, :n] /= den
+        sums[:, :n] += term[:, :n]
+        if max(abs(term[0, n - 1]), abs(term[1, n - 1])) < 1e-20 * max(1.0, abs(sums[0, n - 1])):
+            big = np.maximum(np.abs(term[0, :n]), np.abs(term[1, :n]))
+            n = np.count_nonzero(big >= 1e-20 * np.maximum(1.0, np.abs(sums[0, :n])))
+            if n == 0:
+                break
+    f, g, fp, gp = sums[:, np.argsort(order)]
     ai = _C1 * f - _C2 * g
     aip = _C1 * fp - _C2 * gp
     bi = _SQRT3 * (_C1 * f + _C2 * g)

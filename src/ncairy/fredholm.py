@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _REFINE_CAP = 320
+_STACK_NODE_PAIRS = _REFINE_CAP ** 2   # node pairs in one stack: one determinant at the cap
 _RAY_LENGTH = 10.0    # each ray of gamma_plus, measured from the basepoint
 _BASEPOINT = 0.5j
 
@@ -122,58 +123,85 @@ def half_line_rule(m: int, cutoff: float) -> QuadratureRule:
     return _interval_rule(m, 0.0, cutoff)
 
 
-def _lu_logdet(a: np.ndarray) -> tuple[complex, float]:
-    """det and log|det| of a complex matrix via LAPACK LU."""
-    sign, logabs = np.linalg.slogdet(a)
-    if sign == 0:
-        return 0.0 + 0.0j, -math.inf
-    return sign * np.exp(min(logabs, 700.0)), float(logabs)
+def _lu_logdet(a: np.ndarray) -> list[tuple[complex, float]]:
+    """det and log|det| of each matrix of the complex stack a, one LAPACK LU each."""
+    return [(0.0 + 0.0j, -math.inf) if sign == 0 else
+            (sign * np.exp(min(logabs, 700.0)), float(logabs))
+            for sign, logabs in zip(*np.linalg.slogdet(a))]
 
 
 def _weighted_block(kernel, r: int, nodes: np.ndarray, weights: np.ndarray,
                     split: bool = True) -> np.ndarray:
-    """B with block (i,k) = sqrt(w_i) K(x_i,x_k) sqrt(w_k) (or K w_k)."""
-    m = nodes.size
-    kmat = np.asarray(kernel(nodes[:, None], nodes[None, :]), dtype=complex)
+    """B_i with block (j,l) = sqrt(w_j) K_i(x_j,x_l) sqrt(w_l) (or K_i w_l), for (k, m) nodes."""
+    k, m = nodes.shape
+    kmat = np.asarray(kernel(nodes[:, :, None], nodes[:, None, :]), dtype=complex)
     if split:
         sw = np.sqrt(weights)
-        kmat = kmat * sw[:, None, None, None] * sw[None, :, None, None]
+        kmat = kmat * sw[:, :, None, None, None] * sw[:, None, :, None, None]
     else:
-        kmat = kmat * weights[None, :, None, None]
-    return kmat.transpose(0, 2, 1, 3).reshape(m * r, m * r)
+        kmat = kmat * weights[:, None, :, None, None]
+    return kmat.transpose(0, 1, 3, 2, 4).reshape(k, m * r, m * r)
 
 
 def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.ndarray,
                     split: bool = True) -> np.ndarray:
-    """Id + z B, B the weighted block of _weighted_block."""
-    big = _weighted_block(kernel, r, nodes, weights, split)
-    return np.eye(big.shape[0], dtype=complex) + z * big
+    """Id + z B_i, B_i the weighted blocks of _weighted_block, built in place."""
+    a = z * _weighted_block(kernel, r, nodes, weights, split)
+    a += np.eye(a.shape[-1], dtype=complex)
+    return a
 
 
-def _refine(det_at, m: int, rays: int, refine: bool, tol: float) -> DetResult:
-    """Refinement loop shared by the half-line and contour routes.
+def _refine(det_at, m: int, rays: int, refine: bool, tol: float, n: int = 1) -> list[DetResult]:
+    """Refinement loop shared by the half-line and contour routes, for n members.
 
-    det_at(m) returns (det, log|det|) with m nodes per ray.  With refine=True
-    m doubles until the change in log det falls below tol or doubling would
-    pass _REFINE_CAP; est_error is the last change.  nodes_used is rays * m.
+    det_at(m, live) returns (det, log|det|) of each member in live, with m nodes
+    per ray.  With refine=True a member's m doubles until the change in its log
+    det (phase in (-pi, pi]) falls below tol or doubling would pass _REFINE_CAP;
+    est_error is the last change.  nodes_used is rays * m.
     """
-    val, logabs = det_at(m)
-    if not refine:
-        return DetResult(val, logabs, rays * m, 0.0, True)
-    prev_log = None
-    while True:
-        cur_log = np.log(val) if val != 0 else complex(-math.inf)
-        if prev_log is not None:
-            est = abs(cur_log - prev_log)
-            if est <= tol:
-                return DetResult(val, logabs, rays * m, est, True)
-        if 2 * m > _REFINE_CAP:
-            if prev_log is None:
+    out, live, prev_log = [None] * n, list(range(n)), {}
+    while live:
+        stay = []
+        for i, (val, logabs) in zip(live, det_at(m, live)):
+            if not refine:
+                out[i] = DetResult(val, logabs, rays * m, 0.0, True)
+                continue
+            cur_log = np.log(val) if val != 0 else complex(-math.inf)
+            if i in prev_log:
+                d = cur_log - prev_log[i]
+                est = abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+                if est <= tol or 2 * m > _REFINE_CAP:
+                    out[i] = DetResult(val, logabs, rays * m, est, est <= tol)
+                    continue
+            elif 2 * m > _REFINE_CAP:
                 raise ConvergenceFailure("refinement cap reached before any comparison")
-            return DetResult(val, logabs, rays * m, est, False)
-        prev_log = cur_log
-        m *= 2
-        val, logabs = det_at(m)
+            prev_log[i] = cur_log
+            stay.append(i)
+        live, m = stay, 2 * m
+    return out
+
+
+def _nystrom_stack(kernel, r: int, z: complex, rules: list[QuadratureRule],
+                   refine: bool = True, tol: float = 1e-10, split: bool = True) -> list[DetResult]:
+    """det(Id + z K_i) on the interval of rules[i] for each member i, as nystrom_det refines.
+
+    kernel(idx, x, y) takes member indices idx and their nodes, shapes (k, m, 1) and
+    (k, 1, m), and returns the blocks K_i(x, y), shape (k, m, m, r, r).  The rules share
+    one m.  A pass runs in chunks of _STACK_NODE_PAIRS // m^2 members (at least one).
+    """
+    def det_at(m, live):
+        pairs = []
+        size = max(1, _STACK_NODE_PAIRS // (m * m))
+        for c in range(0, len(live), size):
+            idx = live[c:c + size]
+            rr = [rules[i] if m == rules[i].m else _interval_rule(m, rules[i].a, rules[i].b)
+                  for i in idx]
+            x = np.stack([q.nodes for q in rr])
+            w = np.stack([q.weights for q in rr])
+            pairs += _lu_logdet(_assemble_block(partial(kernel, idx), r, z, x, w, split))
+        return pairs
+
+    return _refine(det_at, rules[0].m, 1, refine, tol, len(rules))
 
 
 def nystrom_det(kernel, r: int, z: complex, rule: QuadratureRule,
@@ -186,11 +214,8 @@ def nystrom_det(kernel, r: int, z: complex, rule: QuadratureRule,
     rule with twice the nodes on [a, b] until the change in log det falls
     below tol or doubling would pass 320 nodes; est_error is the last change.
     """
-    def det_at(m):
-        rr = rule if m == rule.m else _interval_rule(m, rule.a, rule.b)
-        return _lu_logdet(_assemble_block(kernel, r, z, rr.nodes, rr.weights, split=split))
-
-    return _refine(det_at, rule.m, 1, refine, tol)
+    return _nystrom_stack(lambda idx, x, y: np.asarray(kernel(x[0], y[0]))[None],
+                          r, z, [rule], refine, tol, split)[0]
 
 
 def _contour_nodes(m_per_ray: int):
@@ -223,7 +248,7 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
     invariant under this similarity of the weighted block matrix.  Refinement
     doubles the nodes on each of the two rays.
     """
-    def det_at(mpr):
+    def det_at(mpr, live):
         lam, w = _contour_nodes(mpr)
         e1, e2 = contour_symbol(lam, s, C)
         d2 = np.diagonal(e2, axis1=1, axis2=2)
@@ -231,11 +256,11 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
         def kernel(x, y):
             # K(lam_i, lam_j) = E1^T(lam_i) E2(lam_j) / (lam_i + lam_j) at the nodes; E2 is
             # diagonal.  einsum's product, not numpy's complex multiply, which differs by an ulp.
-            return np.einsum("ikl,jk->ijlk", e1, d2) / (x + y)[:, :, None, None]
+            return np.einsum("ikl,jk->ijlk", e1, d2) / (x + y)[..., None, None]
 
-        return _lu_logdet(_assemble_block(kernel, s.r, z, lam, w, split=False))
+        return _lu_logdet(_assemble_block(kernel, s.r, z, lam[None], w[None], split=False))
 
-    return _refine(det_at, m_per_ray, 2, refine, tol)
+    return _refine(det_at, m_per_ray, 2, refine, tol)[0]
 
 
 def spectral_radius(kernel, r: int, rule: QuadratureRule) -> float:
@@ -243,5 +268,6 @@ def spectral_radius(kernel, r: int, rule: QuadratureRule) -> float:
 
     B itself, not (Id + B) - Id, so entries far below 1 keep their digits.
     """
-    b = _weighted_block(kernel, r, rule.nodes, rule.weights)
+    b = _weighted_block(lambda x, y: np.asarray(kernel(x[0], y[0]))[None], r,
+                        rule.nodes[None], rule.weights[None])[0]
     return float(np.max(np.abs(np.linalg.eigvals(b))))

@@ -76,11 +76,9 @@ class CouplingMatrix:
 def _ai_distinct(*arrays) -> list[tuple[np.ndarray, np.ndarray]]:
     """(Ai, Ai') at each array's shape, from one ai_arrays pass on their distinct values.
 
-    ai_arrays works elementwise apart from the Maclaurin series' stopping
-    test, which reads the batch maximum; dropping repeats leaves that
-    maximum alone, so each value is bit-identical to a pass over the arrays
-    with their repeats.  -0.0 and 0.0 share one entry, and Ai is the same at
-    both.
+    ai_arrays works point by point, so each value is bit-identical to a pass
+    over the arrays with their repeats.  -0.0 and 0.0 share one entry, and
+    Ai is the same at both.
     """
     flat = [np.ravel(a) for a in arrays]
     uniq, inv = np.unique(np.concatenate(flat), return_inverse=True)

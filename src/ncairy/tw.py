@@ -18,7 +18,7 @@ import numpy as np
 # ai_arrays is unused here, but perfbench/spans.py wraps tw.ai_arrays by name
 from .airy import ai_arrays
 from .errors import DomainError, OutOfRange
-from .fredholm import DetResult, half_line_cutoff, half_line_rule, nystrom_det
+from .fredholm import DetResult, _nystrom_stack, half_line_cutoff, half_line_rule, nystrom_det
 from .kernels import (CouplingMatrix, ShiftVector, matrix_airy_kernel,
                       matrix_airy_sq_kernel)
 from .ncp2 import HMGrid, hm_solve
@@ -171,13 +171,19 @@ def existence_scan(C: CouplingMatrix, s_lo: float, s_hi: float, n: int = 25,
     C = [[0, -2], [2, 0]] (sigma_max = 2) stays pole-free.
     """
     r = C.r
+    zero = ShiftVector(np.zeros(r))
 
-    def det_at(s: float) -> float:
-        d = _half_line_det(matrix_airy_sq_kernel, ShiftVector(np.full(r, s)), C, -1.0, m)
-        return float(np.real(d.value))
+    def dets(ss) -> list[float]:
+        # K_s(x, y) = K_0(x + 2s, y + 2s) bit for bit: with equal shifts s_j + s_k = 2s
+        # exactly, and the zero shifts add 0.0, which leaves every argument as it is
+        two_s = np.array([s + s for s in ss])[:, None, None]
+        rules = [half_line_rule(m, half_line_cutoff(ShiftVector(np.full(r, s)))) for s in ss]
+        stack = _nystrom_stack(lambda idx, x, y: matrix_airy_sq_kernel(
+            x + two_s[idx], y + two_s[idx], zero, C), r, -1.0, rules)
+        return [float(np.real(d.value)) for d in stack]
 
     ss = np.linspace(s_lo, s_hi, n)
-    vals = [det_at(s) for s in ss]
+    vals = dets(ss)
     crossing = None
     # scan right to left: report the zero nearest the pole-free region
     for i in range(n - 2, -1, -1):
@@ -189,7 +195,7 @@ def existence_scan(C: CouplingMatrix, s_lo: float, s_hi: float, n: int = 25,
             fhi = vals[i + 1]
             while hi - lo > 1e-3:
                 mid = 0.5 * (lo + hi)
-                fm = det_at(mid)
+                (fm,) = dets([mid])
                 if fhi * fm <= 0.0:
                     lo = mid
                 else:

@@ -196,3 +196,11 @@ def test_asy_pos_mixed_batch_matches_one_point(rows):
         one = airy._asy_pos_scaled(np.array([xi]), rows)
         for got, want in zip(batch, one):
             assert got[i:i + 1].tobytes() == want.tobytes(), xi
+
+
+def test_series_batch_matches_one_point():
+    # each point stops on its own terms, so a batch is its one-point evaluations, byte for byte
+    x = np.linspace(-4.5, 0.0, 42_001)[:-1]
+    batch = np.stack(airy._series(x), axis=1)
+    one = np.array([np.concatenate(airy._series(x[i:i + 1])) for i in range(x.size)])
+    assert batch.tobytes() == one.tobytes()

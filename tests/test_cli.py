@@ -232,8 +232,7 @@ def test_det_routes_disagree_exit_one(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["det", "--shifts=-6", "--kind", "airy2", "--route", "nystrom"],
-    ["det", "--kind", "contour", "--coupling", "1.2", "--shifts=-1.2", "--sign", "-1",
-     "--nodes", "60"],
+    ["det", "--kind", "contour", "--coupling", "0.9", "--shifts=-5", "--sign", "-1"],
 ], ids=["half_line", "contour"])
 def test_det_unconverged_exit_one(capsys, argv):
     # the value still prints, with an error estimate above the 1e-10 refinement tol
@@ -241,6 +240,15 @@ def test_det_unconverged_exit_one(capsys, argv):
     assert code == 1
     (rec,) = json.loads(out)
     assert rec["est_error"] > 1e-10
+
+
+def test_det_negative_contour_value_converges(capsys):
+    # det < 0 on the contour: the phase of log det must not count as a 2 pi change
+    code, out, _ = _run(["det", "--kind", "contour", "--coupling", "1.2", "--shifts=-1.2",
+                         "--sign", "-1", "--nodes", "60", "--format", "json"], capsys)
+    assert code == 0
+    (rec,) = json.loads(out)
+    assert rec["value"]["re"] < 0.0 and rec["converged"] and rec["est_error"] <= 1e-10
 
 
 @pytest.mark.parametrize("tol", ["1e-12", "nan"])

@@ -23,7 +23,7 @@ from ncairy import (
     nystrom_det_contour,
     spectral_radius,
 )
-from ncairy.fredholm import QuadratureRule, _interval_rule
+from ncairy.fredholm import QuadratureRule, _interval_rule, _nystrom_stack
 
 def test_gauss_legendre_two_point():
     rule = gauss_legendre(2)
@@ -259,3 +259,29 @@ def test_refinement_cap_before_any_comparison(route):
             nystrom_det_contour(ShiftVector(np.array([0.0])),
                                 CouplingMatrix(np.array([[1.0]])), -1.0,
                                 m_per_ray=161, refine=True)
+
+
+def test_nystrom_stack_matches_lone_dets():
+    # r = 2 members with unequal shifts refine on their own and leave the stack on different
+    # passes; each keeps every bit of its lone nystrom_det, diagnostics included
+    c = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
+    shifts = [ShiftVector(np.array([S, S + 0.3])) for S in (-3.0, -1.5, 0.0, 1.0, -2.5)]
+    rules = [half_line_rule(40, half_line_cutoff(s)) for s in shifts]
+
+    def kernel(idx, x, y):
+        return np.stack([matrix_airy_sq_kernel(x[j], y[j], shifts[i], c) for j, i in enumerate(idx)])
+
+    stack = _nystrom_stack(kernel, 2, -1.0, rules)
+    lone = [nystrom_det(lambda x, y, s=s: matrix_airy_sq_kernel(x, y, s, c), 2, -1.0, rule)
+            for s, rule in zip(shifts, rules)]
+    assert [_hexes(d) + (d.converged,) for d in stack] == [_hexes(d) + (d.converged,) for d in lone]
+    assert len({d.nodes_used for d in lone}) > 1
+
+
+def test_negative_contour_det_converges():
+    # det < 0: the rounding-level imaginary part of log det flips sign between passes, a
+    # 2 pi jump of the principal log that is no change of det
+    d = nystrom_det_contour(ShiftVector(np.array([-1.2])), CouplingMatrix(np.array([[1.2]])),
+                            -1.0, m_per_ray=60)
+    assert d.value.real < 0.0
+    assert d.converged and d.est_error <= 1e-10 and d.nodes_used == 240

@@ -13,10 +13,13 @@ from ncairy import (
     ShiftVector,
     det_airy,
     det_airy_sq,
+    existence_scan,
+    matrix_airy_sq_kernel,
     scalar_f1,
     scalar_f2,
     scalar_u,
 )
+from ncairy import fredholm, tw
 
 C_HERM = CouplingMatrix(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]]))
 
@@ -180,3 +183,93 @@ def test_painleve_values_bit_exact(r):
 def test_scalar_chain_bit_exact(x):
     got = (scalar_f2(x), scalar_f1(x), scalar_u(x))
     assert got == tuple(float.fromhex(g) for g in SCALAR_GOLDENS[x])
+
+
+def _scan_by_sample(C, s_lo, s_hi, n, m=40):
+    """existence_scan as a loop of lone half-line determinants: the reference for the stack.
+
+    Returns (samples, crossing, the DetResult of each sample).
+    """
+    def det_at(s):
+        return tw._half_line_det(matrix_airy_sq_kernel, ShiftVector(np.full(C.r, s)), C, -1.0, m)
+
+    ss = np.linspace(s_lo, s_hi, n)
+    dets = [det_at(s) for s in ss]
+    vals = [float(np.real(d.value)) for d in dets]
+    crossing = None
+    for i in range(n - 2, -1, -1):
+        if vals[i] == 0.0:
+            crossing = float(ss[i])
+            break
+        if vals[i] * vals[i + 1] < 0.0:
+            lo, hi, fhi = float(ss[i]), float(ss[i + 1]), vals[i + 1]
+            while hi - lo > 1e-3:
+                mid = 0.5 * (lo + hi)
+                fm = float(np.real(det_at(mid).value))
+                if fhi * fm <= 0.0:
+                    lo = mid
+                else:
+                    hi, fhi = mid, fm
+            crossing = 0.5 * (lo + hi)
+            break
+    return list(zip(ss.tolist(), vals)), crossing, dets
+
+
+def _scan_hex(samples, crossing):
+    return [(s.hex(), v.hex()) for s, v in samples], None if crossing is None else crossing.hex()
+
+
+# name -> (C, s_lo, s_hi, n); "deep" puts kernel arguments x + 2s below the -9.5 Airy seam
+_SCAN_CASES = {
+    "r1-subcritical": ([[0.9]], -4.0, 0.0, 9),
+    "r1-supercritical": ([[1.2]], -3.0, 0.0, 7),
+    "r2-subcritical": ([[0.6, 0.2], [0.2, 0.5]], -3.0, 0.0, 7),
+    "deep": ([[0.9]], -6.0, 4.0, 11),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_existence_scan_matches_sample_loop(case):
+    c, lo, hi, n = _SCAN_CASES[case]
+    C = CouplingMatrix(np.array(c))
+    samples, crossing = existence_scan(C, lo, hi, n=n)
+    want, want_crossing, dets = _scan_by_sample(C, lo, hi, n)
+    assert _scan_hex(samples, crossing) == _scan_hex(want, want_crossing)
+    assert (crossing is not None) == case.endswith("supercritical")
+    if case == "deep":
+        # the samples leave the stack on different passes
+        assert len({d.nodes_used for d in dets}) > 1
+
+
+def test_existence_scan_chunks_keep_bits(monkeypatch):
+    # a budget of two 40-node members per stack: chunks of 2 at m = 40 and of 1 above
+    budget = 2 * 40 * 40
+    C = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
+    want = _scan_hex(*_scan_by_sample(C, -6.0, 0.0, 7)[:2])
+    stacks = []
+    lu = fredholm._lu_logdet
+
+    def recording(a):
+        stacks.append((a.shape[0], a.shape[-1] // C.r))
+        return lu(a)
+
+    monkeypatch.setattr(fredholm, "_STACK_NODE_PAIRS", budget)
+    monkeypatch.setattr(fredholm, "_lu_logdet", recording)
+    assert _scan_hex(*existence_scan(C, -6.0, 0.0, n=7)) == want
+    assert max(k for k, _ in stacks) == 2
+    assert all(k <= max(1, budget // (m * m)) for k, m in stacks)
+
+
+def test_existence_scan_stack_within_default_budget(monkeypatch):
+    # 65 samples at m = 40: stacks of at most (320 / 40)^2 = 64 members
+    stacks = []
+    lu = fredholm._lu_logdet
+
+    def recording(a):
+        stacks.append((a.shape[0], a.shape[-1]))
+        return lu(a)
+
+    monkeypatch.setattr(fredholm, "_lu_logdet", recording)
+    existence_scan(CouplingMatrix(np.array([[0.9]])), -2.0, 0.0, n=65)
+    assert max(k for k, _ in stacks) == 64
+    assert all(k * m * m <= 320 * 320 for k, m in stacks)
