@@ -3,9 +3,21 @@
 Each check in ncairy.verify.CHECKS runs at most once per session, on the
 generator ``ncairy verify --seed 0`` gives it; a test that holds cases of a
 check asserts that check through the ``assert_checks`` fixture.
+
+The BLAS runs on one thread: OpenBLAS splits its LU by thread count, so the
+float.hex goldens would otherwise depend on the machine's cores.  The thread
+count is read when numpy loads its BLAS, so numpy must not be loaded yet.
 """
 
 import functools
+import os
+import sys
+
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin the BLAS "
+                       "thread count to 1; the float.hex goldens assume one thread")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 
