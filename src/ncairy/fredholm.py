@@ -124,17 +124,23 @@ def half_line_rule(m: int, cutoff: float) -> QuadratureRule:
 
 
 def _lu_logdet(a: np.ndarray) -> list[tuple[complex, float]]:
-    """det and log|det| of each matrix of the complex stack a, one LAPACK LU each."""
+    """det and log|det| of each matrix of the real or complex stack a, one LAPACK LU each.
+
+    The det is complex either way.
+    """
     return [(0.0 + 0.0j, -math.inf) if sign == 0 else
-            (sign * np.exp(min(logabs, 700.0)), float(logabs))
+            (np.complex128(sign) * np.exp(min(logabs, 700.0)), float(logabs))
             for sign, logabs in zip(*np.linalg.slogdet(a))]
 
 
 def _weighted_block(kernel, r: int, nodes: np.ndarray, weights: np.ndarray,
                     split: bool = True) -> np.ndarray:
-    """B_i with block (j,l) = sqrt(w_j) K_i(x_j,x_l) sqrt(w_l) (or K_i w_l), for (k, m) nodes."""
+    """B_i with block (j,l) = sqrt(w_j) K_i(x_j,x_l) sqrt(w_l) (or K_i w_l), for (k, m) nodes.
+
+    B is real when the kernel values and the weights are, and complex otherwise.
+    """
     k, m = nodes.shape
-    kmat = np.asarray(kernel(nodes[:, :, None], nodes[:, None, :]), dtype=complex)
+    kmat = np.asarray(kernel(nodes[:, :, None], nodes[:, None, :]))
     if split:
         sw = np.sqrt(weights)
         kmat = kmat * sw[:, :, None, None, None] * sw[:, None, :, None, None]
@@ -145,9 +151,12 @@ def _weighted_block(kernel, r: int, nodes: np.ndarray, weights: np.ndarray,
 
 def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.ndarray,
                     split: bool = True) -> np.ndarray:
-    """Id + z B_i, B_i the weighted blocks of _weighted_block, built in place."""
+    """Id + z B_i, B_i the weighted blocks of _weighted_block, built in place.
+
+    Real when B_i and z are, so that the LU runs in real arithmetic.
+    """
     a = z * _weighted_block(kernel, r, nodes, weights, split)
-    a += np.eye(a.shape[-1], dtype=complex)
+    a += np.eye(a.shape[-1], dtype=a.dtype)
     return a
 
 

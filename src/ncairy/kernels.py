@@ -91,17 +91,27 @@ def _ai_distinct(*arrays) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+def _coupling(C: CouplingMatrix) -> np.ndarray:
+    """C's entries, as float64 when none has a nonzero imaginary part.
+
+    Each product with a real factor keeps the bits of the complex product's
+    real part, so a real coupling gives the real part of the complex kernel.
+    """
+    return C.entries if np.any(C.entries.imag) else C.entries.real
+
+
 def matrix_airy_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray:
     """Entry (j,k) = c_jk * Ai(x + y + s_j + s_k).
 
     x, y may be scalars or broadcastable arrays; the result has shape
-    broadcast(x, y).shape + (r, r).
+    broadcast(x, y).shape + (r, r).  It is float64 for a real C and complex
+    otherwise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ss = s.s[:, None] + s.s[None, :]
     ((ai, _),) = _ai_distinct((x + y)[..., None, None] + ss)
-    return C.entries * ai
+    return _coupling(C) * ai
 
 
 def scalar_airy_kernel(a, b) -> np.ndarray:
@@ -129,6 +139,7 @@ def matrix_airy_sq_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray
 
     Entry (j1, j2) = sum_k c_{j1 k} c_{k j2} K_Ai(x + s_j1 + s_k, y + s_j2 + s_k)
     where K_Ai is the scalar Airy kernel; no z-quadrature is performed.
+    The result is float64 for a real C and complex otherwise.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -139,7 +150,8 @@ def matrix_airy_sq_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray
     # sum over k then reduces a contiguous last axis, in the order the float.hex goldens pin
     k_ai = scalar_airy_kernel(ss[:, None] + x, ss[None] + y)
     k_ai = np.moveaxis(k_ai, (0, 1, 2), (-3, -2, -1)).copy()
-    w = C.entries[:, None, :] * C.entries.T[None, :, :]  # w[j1,j2,k] = c_{j1 k} c_{k j2}
+    c = _coupling(C)
+    w = c[:, None, :] * c.T[None, :, :]  # w[j1,j2,k] = c_{j1 k} c_{k j2}
     return np.sum(w * k_ai, axis=-1)
 
 

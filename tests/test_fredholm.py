@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from ncairy import (
     nystrom_det_contour,
     spectral_radius,
 )
+from ncairy import fredholm
 from ncairy.fredholm import QuadratureRule, _interval_rule, _nystrom_stack
 
 def test_gauss_legendre_two_point():
@@ -174,7 +176,12 @@ def test_refinement_on_a_general_interval():
 # from the separate half-line and contour refinement loops with per-node
 # contour symbols (numpy 2.4, OpenBLAS with 1 BLAS thread, x86-64); the shared
 # loop and the array-valued contour symbols must reproduce them bit for bit.
-# OpenBLAS splits its LU by thread count, so conftest.py pins it to 1
+# OpenBLAS splits its LU by thread count, so conftest.py pins it to 1.  The r = 1
+# coupling is real, so its block is real and takes a real LU; the refine=True
+# airy/airy2 values were re-pinned when that LU replaced the complex one.  Against
+# an mpmath (40 digits) determinant of the same float64 80-node block, the airy
+# value lies 1.15 ulp off (0.15 with the complex LU) and the airy2 value 0.08 ulp
+# (0.92 with the complex LU)
 _GOLDEN_CASES = {
     1: (np.array([-0.5]), np.array([[0.8]])),
     2: (np.array([0.0, 0.3]), np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])),
@@ -182,8 +189,8 @@ _GOLDEN_CASES = {
         np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.1j], [0.05, -0.1j, 0.3]])),
 }
 _NYSTROM_GOLDENS = {
-    ('airy', 1, True, True): ('0x1.4f119f714a718p+0', '0x0.0p+0', '0x1.139e4cf1e21eap-2', 80, '0x1.416a800000000p-35'),
-    ('airy', 1, True, False): ('0x1.4f119f714a718p+0', '0x0.0p+0', '0x1.139e4cf1e21eap-2', 80, '0x1.416a800000000p-35'),
+    ('airy', 1, True, True): ('0x1.4f119f714a719p+0', '0x0.0p+0', '0x1.139e4cf1e21eep-2', 80, '0x1.416ac00000000p-35'),
+    ('airy', 1, True, False): ('0x1.4f119f714a719p+0', '0x0.0p+0', '0x1.139e4cf1e21eep-2', 80, '0x1.416ac00000000p-35'),
     ('airy', 1, False, True): ('0x1.4f119f7115db7p+0', '0x0.0p+0', '0x1.139e4cf141697p-2', 40, '0x0.0p+0'),
     ('airy', 1, False, False): ('0x1.4f119f7115db7p+0', '0x0.0p+0', '0x1.139e4cf141697p-2', 40, '0x0.0p+0'),
     ('airy', 2, True, True): ('0x1.24e32df888b53p+0', '0x1.24cb3152b0681p-72', '0x1.13aedbb43627bp-3', 80, '0x1.743c000000000p-41'),
@@ -194,8 +201,8 @@ _NYSTROM_GOLDENS = {
     ('airy', 3, True, False): ('0x1.3431cb4ce7c17p+0', '-0x1.c40bb60eeb225p-76', '0x1.7c038ea57a36bp-3', 80, '0x1.97d8000000000p-42'),
     ('airy', 3, False, True): ('0x1.3431cb4ce83c3p+0', '-0x1.393adb973ee91p-79', '0x1.7c038ea57d66cp-3', 40, '0x0.0p+0'),
     ('airy', 3, False, False): ('0x1.3431cb4ce83c3p+0', '-0x1.2315f1992b893p-73', '0x1.7c038ea57d66cp-3', 40, '0x0.0p+0'),
-    ('airy2', 1, True, True): ('0x1.c0ca7a94f27d8p-1', '0x0.0p+0', '-0x1.0ddc1af8ec958p-3', 80, '0x1.12c0000000000p-45'),
-    ('airy2', 1, True, False): ('0x1.c0ca7a94f27d8p-1', '0x0.0p+0', '-0x1.0ddc1af8ec958p-3', 80, '0x1.12c0000000000p-45'),
+    ('airy2', 1, True, True): ('0x1.c0ca7a94f27d9p-1', '0x0.0p+0', '-0x1.0ddc1af8ec954p-3', 80, '0x1.1440000000000p-45'),
+    ('airy2', 1, True, False): ('0x1.c0ca7a94f27d9p-1', '0x0.0p+0', '-0x1.0ddc1af8ec954p-3', 80, '0x1.1440000000000p-45'),
     ('airy2', 1, False, True): ('0x1.c0ca7a94f26e7p-1', '0x0.0p+0', '-0x1.0ddc1af8ecda4p-3', 40, '0x0.0p+0'),
     ('airy2', 1, False, False): ('0x1.c0ca7a94f26e7p-1', '0x0.0p+0', '-0x1.0ddc1af8ecda4p-3', 40, '0x0.0p+0'),
     ('airy2', 2, True, True): ('0x1.f8a21baae4fccp-1', '-0x1.75b28ab7b2a4dp-73', '-0x1.dae5cf881059cp-7', 80, '0x1.030000000006ep-51'),
@@ -286,3 +293,82 @@ def test_negative_contour_det_converges():
                             -1.0, m_per_ray=60)
     assert d.value.real < 0.0
     assert d.converged and d.est_error <= 1e-10 and d.nodes_used == 240
+
+
+# real couplings: their kernels are real, so the blocks are real and take a real LU
+_REAL_CASES = {
+    1: (np.array([-0.5]), np.array([[0.8]])),
+    2: (np.array([0.0, 0.3]), np.array([[0.6, 0.2], [0.2, 0.5]])),
+    3: _CONTOUR_CASE_NONHERM,
+}
+_KINDS = {"airy+": (matrix_airy_kernel, 1.0), "airy-": (matrix_airy_kernel, -1.0),
+          "airy2": (matrix_airy_sq_kernel, -1.0)}
+
+
+def _as_complex(kernel):
+    """kernel with its values cast to complex, as the blocks were built for every C."""
+    return lambda x, y: np.asarray(kernel(x, y), dtype=complex)
+
+
+def _recorded_dtypes(monkeypatch):
+    """The dtype of every stack _lu_logdet factors, in order."""
+    dtypes = []
+    lu = fredholm._lu_logdet
+
+    def recording(a):
+        dtypes.append(a.dtype)
+        return lu(a)
+
+    monkeypatch.setattr(fredholm, "_lu_logdet", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_real_coupling_matches_complex_blocks(r, kind, monkeypatch):
+    s, c = ShiftVector(_REAL_CASES[r][0]), CouplingMatrix(_REAL_CASES[r][1])
+    kern, z = _KINDS[kind]
+    rule = half_line_rule(40, half_line_cutoff(s))
+    kernel = partial(kern, s=s, C=c)
+    dtypes = _recorded_dtypes(monkeypatch)
+    real = nystrom_det(kernel, r, z, rule)
+    n = len(dtypes)
+    cplx = nystrom_det(_as_complex(kernel), r, z, rule)
+    assert set(dtypes[:n]) == {np.dtype(float)} and set(dtypes[n:]) == {np.dtype(complex)}
+    assert isinstance(real.value, complex) and isinstance(cplx.value, complex)
+    assert real.value.imag == 0.0
+    assert abs(real.value - cplx.value) <= 1e-14 * abs(cplx.value)
+    assert (real.nodes_used, real.converged) == (cplx.nodes_used, cplx.converged)
+
+
+def test_real_coupling_spectral_radius_matches_complex_block():
+    s, c = ShiftVector(_REAL_CASES[2][0]), CouplingMatrix(_REAL_CASES[2][1])
+    rule = half_line_rule(40, half_line_cutoff(s))
+    kernel = partial(matrix_airy_sq_kernel, s=s, C=c)
+    real, cplx = spectral_radius(kernel, 2, rule), spectral_radius(_as_complex(kernel), 2, rule)
+    assert abs(real - cplx) <= 1e-14 * cplx
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_hermitian_non_real_coupling_keeps_complex_blocks(kind, monkeypatch):
+    # its goldens above are the complex LU's bits
+    s, c = ShiftVector(_GOLDEN_CASES[2][0]), CouplingMatrix(_GOLDEN_CASES[2][1])
+    kern, z = _KINDS[kind]
+    dtypes = _recorded_dtypes(monkeypatch)
+    d = nystrom_det(partial(kern, s=s, C=c), 2, z, half_line_rule(40, half_line_cutoff(s)))
+    assert set(dtypes) == {np.dtype(complex)}
+    assert isinstance(d.value, complex)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_complex_z_with_real_coupling_promotes_to_complex(kind, monkeypatch):
+    # z times the real block is z times the block cast to complex, bit for bit
+    s, c = ShiftVector(_REAL_CASES[2][0]), CouplingMatrix(_REAL_CASES[2][1])
+    kern, z = _KINDS[kind]
+    z = complex(z, 0.25)
+    rule = half_line_rule(40, half_line_cutoff(s))
+    kernel = partial(kern, s=s, C=c)
+    dtypes = _recorded_dtypes(monkeypatch)
+    d = nystrom_det(kernel, 2, z, rule)
+    assert set(dtypes) == {np.dtype(complex)}
+    assert _hexes(d) == _hexes(nystrom_det(_as_complex(kernel), 2, z, rule))

@@ -241,6 +241,36 @@ def test_existence_scan_matches_sample_loop(case):
         assert len({d.nodes_used for d in dets}) > 1
 
 
+
+@pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+def test_existence_scan_real_blocks_match_complex(case, monkeypatch):
+    # a real C scans in real arithmetic; the same blocks built in complex give each
+    # determinant to 1e-14 relative (1e-16 absolute below 1e-2, where the bisection
+    # closes on a zero), the same diagnostics and the same crossing
+    c, lo, hi, n = _SCAN_CASES[case]
+    C = CouplingMatrix(np.array(c))
+    stack = tw._nystrom_stack
+
+    def scan(kernel):
+        dets = []
+
+        def recording(*args):
+            out = stack(*args)
+            dets.extend(out)
+            return out
+
+        monkeypatch.setattr(tw, "_nystrom_stack", recording)
+        monkeypatch.setattr(tw, "matrix_airy_sq_kernel", kernel)
+        return existence_scan(C, lo, hi, n=n), dets
+
+    (samples, crossing), real = scan(matrix_airy_sq_kernel)
+    (_, want_crossing), cplx = scan(lambda *a: matrix_airy_sq_kernel(*a).astype(complex))
+    assert crossing == want_crossing and len(real) == len(cplx) >= n
+    for a, b in zip(real, cplx):
+        assert isinstance(a.value, complex) and a.value.imag == 0.0
+        assert abs(a.value - b.value) <= 1e-14 * max(abs(b.value), 1e-2)
+        assert (a.nodes_used, a.converged) == (b.nodes_used, b.converged)
+
 def test_existence_scan_chunks_keep_bits(monkeypatch):
     # a budget of two 40-node members per stack: chunks of 2 at m = 40 and of 1 above
     budget = 2 * 40 * 40
