@@ -306,7 +306,7 @@ _KINDS = {"airy+": (matrix_airy_kernel, 1.0), "airy-": (matrix_airy_kernel, -1.0
 
 
 def _as_complex(kernel):
-    """kernel with its values cast to complex, as the blocks were built for every C."""
+    """kernel with its values cast to complex, so that its blocks and their LU are complex."""
     return lambda x, y: np.asarray(kernel(x, y), dtype=complex)
 
 
