@@ -137,27 +137,33 @@ def _weighted_block(kernel, r: int, nodes: np.ndarray, weights: np.ndarray,
                     split: bool = True) -> np.ndarray:
     """B_i with block (j,l) = sqrt(w_j) K_i(x_j,x_l) sqrt(w_l) (or K_i w_l), for (k, m) nodes.
 
-    B is real when the kernel values and the weights are, and complex otherwise.
+    The weighted kernel is written straight into B's (k, m r, m r) layout.  B is
+    real when the kernel values and the weights are, and complex otherwise.
     """
     k, m = nodes.shape
     kmat = np.asarray(kernel(nodes[:, :, None], nodes[:, None, :]))
+    b = np.empty((k, m * r, m * r), np.result_type(kmat, weights))
+    view = b.reshape(k, m, r, m, r).transpose(0, 1, 3, 2, 4)
     if split:
         sw = np.sqrt(weights)
-        kmat = kmat * sw[:, :, None, None, None] * sw[:, None, :, None, None]
+        np.multiply(kmat, sw[:, :, None, None, None], out=view)
+        view *= sw[:, None, :, None, None]
     else:
-        kmat = kmat * weights[:, None, :, None, None]
-    return kmat.transpose(0, 1, 3, 2, 4).reshape(k, m * r, m * r)
+        np.multiply(kmat, weights[:, None, :, None, None], out=view)
+    return b
 
 
-def _assemble_block(kernel, r: int, z: complex, nodes: np.ndarray, weights: np.ndarray,
-                    split: bool = True) -> np.ndarray:
-    """Id + z B_i, B_i the weighted blocks of _weighted_block, built in place.
+def _id_plus(z: complex, b: np.ndarray) -> np.ndarray:
+    """Id + z B_i for the stack B, in place.
 
-    Real when B_i and z are, so that the LU runs in real arithmetic.
+    Real when B and z are, so that the LU runs in real arithmetic; a real B
+    with a complex z is promoted first.
     """
-    a = z * _weighted_block(kernel, r, nodes, weights, split)
-    a += np.eye(a.shape[-1], dtype=a.dtype)
-    return a
+    b = b.astype(np.result_type(b, z), copy=False)
+    np.multiply(z, b, out=b)   # z first: numpy's complex multiply is not commutative to the bit
+    n = b.shape[-1]
+    b.reshape(b.shape[0], n * n)[:, ::n + 1] += 1.0
+    return b
 
 
 def _refine(det_at, m: int, rays: int, refine: bool, tol: float, n: int = 1) -> list[DetResult]:
@@ -207,7 +213,7 @@ def _nystrom_stack(kernel, r: int, z: complex, rules: list[QuadratureRule],
                   for i in idx]
             x = np.stack([q.nodes for q in rr])
             w = np.stack([q.weights for q in rr])
-            pairs += _lu_logdet(_assemble_block(partial(kernel, idx), r, z, x, w, split))
+            pairs += _lu_logdet(_id_plus(z, _weighted_block(partial(kernel, idx), r, x, w, split)))
         return pairs
 
     return _refine(det_at, rules[0].m, 1, refine, tol, len(rules))
@@ -262,12 +268,14 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
         e1, e2 = contour_symbol(lam, s, C)
         d2 = np.diagonal(e2, axis1=1, axis2=2)
 
-        def kernel(x, y):
-            # K(lam_i, lam_j) = E1^T(lam_i) E2(lam_j) / (lam_i + lam_j) at the nodes; E2 is
-            # diagonal.  einsum's product, not numpy's complex multiply, which differs by an ulp.
-            return np.einsum("ikl,jk->ijlk", e1, d2) / (x + y)[..., None, None]
-
-        return _lu_logdet(_assemble_block(kernel, s.r, z, lam[None], w[None], split=False))
+        # B[(i, l), (j, k)] = E1^T(lam_i) E2(lam_j) w_j / (lam_i + lam_j) with E2 diagonal,
+        # built in its (2m r, 2m r) layout.  einsum's product, not numpy's complex multiply,
+        # which differs by an ulp.
+        b = np.einsum("ikl,jk->iljk", e1, d2)
+        b /= (lam[:, None] + lam[None, :])[:, None, :, None]
+        b *= w[None, None, :, None]
+        n = lam.size * s.r
+        return _lu_logdet(_id_plus(z, b.reshape(1, n, n)))
 
     return _refine(det_at, m_per_ray, 2, refine, tol)[0]
 

@@ -126,12 +126,19 @@ def scalar_airy_kernel(a, b) -> np.ndarray:
     d = a - b
     near = np.abs(d) < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):
-        off = (aa * bap - aap * ba) / d
-    diag = aap * aap - a * aa * aa - 0.5 * (b - a) * aa * aa
-    out = np.where(near, diag, off)
+        out = (aa * bap - aap * ba) / d
     if out.ndim == 0:
-        return float(out)
+        return float(_confluent(a, b, aa, aap) if near else out)
+    if near.any():
+        idx = np.nonzero(near)
+        a, b, aa, aap = (np.broadcast_to(v, out.shape)[idx] for v in (a, b, aa, aap))
+        out[idx] = _confluent(a, b, aa, aap)
     return out
+
+
+def _confluent(a, b, aa, aap):
+    """The scalar Airy kernel near a = b, from Ai(a) and Ai'(a), to first order in b - a."""
+    return aap * aap - a * aa * aa - 0.5 * (b - a) * aa * aa
 
 
 def matrix_airy_sq_kernel(x, y, s: ShiftVector, C: CouplingMatrix) -> np.ndarray:
