@@ -15,6 +15,7 @@ from ncairy import (
     CouplingMatrix,
     DomainError,
     ShiftVector,
+    ai_arrays,
     gauss_legendre,
     half_line_cutoff,
     half_line_rule,
@@ -94,8 +95,14 @@ def test_rank_one_determinant():
 
 
 def test_half_line_cutoff_scaling():
-    assert half_line_cutoff(ShiftVector(np.array([0.0]))) == pytest.approx(40.0)
-    assert half_line_cutoff(ShiftVector(np.array([-3.0]))) == pytest.approx(52.0)
+    # L = T + 2 max(0, -s_min), T = 16 the least integer with Ai(T) + |Ai'(T)| <= 1e-18
+    assert half_line_cutoff(ShiftVector(np.array([0.0]))) == 16.0
+    assert half_line_cutoff(ShiftVector(np.array([2.5]))) == 16.0
+    assert half_line_cutoff(ShiftVector(np.array([-3.0]))) == 22.0
+    assert half_line_cutoff(ShiftVector(np.array([0.5, -1.25, 3.0]))) == 18.5
+    ai, aip = ai_arrays(np.array([15.0, 16.0]))
+    tail = ai + np.abs(aip)
+    assert tail[1] <= 1e-18 < tail[0]
 
 
 def test_scalar_gap_value():
@@ -189,30 +196,30 @@ _GOLDEN_CASES = {
         np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.1j], [0.05, -0.1j, 0.3]])),
 }
 _NYSTROM_GOLDENS = {
-    ('airy', 1, True, True): ('0x1.4f119f714a719p+0', '0x0.0p+0', '0x1.139e4cf1e21eep-2', 80, '0x1.416ac00000000p-35'),
-    ('airy', 1, True, False): ('0x1.4f119f714a719p+0', '0x0.0p+0', '0x1.139e4cf1e21eep-2', 80, '0x1.416ac00000000p-35'),
-    ('airy', 1, False, True): ('0x1.4f119f7115db7p+0', '0x0.0p+0', '0x1.139e4cf141697p-2', 40, '0x0.0p+0'),
-    ('airy', 1, False, False): ('0x1.4f119f7115db7p+0', '0x0.0p+0', '0x1.139e4cf141697p-2', 40, '0x0.0p+0'),
-    ('airy', 2, True, True): ('0x1.24e32df888b53p+0', '0x1.24cb3152b0681p-72', '0x1.13aedbb43627bp-3', 80, '0x1.743c000000000p-41'),
-    ('airy', 2, True, False): ('0x1.24e32df888b53p+0', '0x1.46b03116aae2dp-70', '0x1.13aedbb43627bp-3', 80, '0x1.743c000000000p-41'),
-    ('airy', 2, False, True): ('0x1.24e32df8898a2p+0', '0x1.24e3524e9d753p-92', '0x1.13aedbb43bf87p-3', 40, '0x0.0p+0'),
-    ('airy', 2, False, False): ('0x1.24e32df8898a2p+0', '0x1.b86e11b895e30p-74', '0x1.13aedbb43bf87p-3', 40, '0x0.0p+0'),
-    ('airy', 3, True, True): ('0x1.3431cb4ce7c17p+0', '0x1.5cf7a55d163bfp-77', '0x1.7c038ea57a36bp-3', 80, '0x1.97d8000000000p-42'),
-    ('airy', 3, True, False): ('0x1.3431cb4ce7c17p+0', '-0x1.c40bb60eeb225p-76', '0x1.7c038ea57a36bp-3', 80, '0x1.97d8000000000p-42'),
-    ('airy', 3, False, True): ('0x1.3431cb4ce83c3p+0', '-0x1.393adb973ee91p-79', '0x1.7c038ea57d66cp-3', 40, '0x0.0p+0'),
-    ('airy', 3, False, False): ('0x1.3431cb4ce83c3p+0', '-0x1.2315f1992b893p-73', '0x1.7c038ea57d66cp-3', 40, '0x0.0p+0'),
-    ('airy2', 1, True, True): ('0x1.c0ca7a94f27d9p-1', '0x0.0p+0', '-0x1.0ddc1af8ec954p-3', 80, '0x1.1440000000000p-45'),
-    ('airy2', 1, True, False): ('0x1.c0ca7a94f27d9p-1', '0x0.0p+0', '-0x1.0ddc1af8ec954p-3', 80, '0x1.1440000000000p-45'),
-    ('airy2', 1, False, True): ('0x1.c0ca7a94f26e7p-1', '0x0.0p+0', '-0x1.0ddc1af8ecda4p-3', 40, '0x0.0p+0'),
-    ('airy2', 1, False, False): ('0x1.c0ca7a94f26e7p-1', '0x0.0p+0', '-0x1.0ddc1af8ecda4p-3', 40, '0x0.0p+0'),
-    ('airy2', 2, True, True): ('0x1.f8a21baae4fccp-1', '-0x1.75b28ab7b2a4dp-73', '-0x1.dae5cf881059cp-7', 80, '0x1.030000000006ep-51'),
-    ('airy2', 2, True, False): ('0x1.f8a21baae4fccp-1', '-0x1.1fc7baf5a4fedp-72', '-0x1.dae5cf881059cp-7', 80, '0x1.03000000001acp-51'),
-    ('airy2', 2, False, True): ('0x1.f8a21baae4fc8p-1', '-0x1.14b2f5b0a1496p-74', '-0x1.dae5cf8810671p-7', 40, '0x0.0p+0'),
-    ('airy2', 2, False, False): ('0x1.f8a21baae4fc8p-1', '-0x1.03f69d3e642b0p-71', '-0x1.dae5cf8810671p-7', 40, '0x0.0p+0'),
-    ('airy2', 3, True, True): ('0x1.f6b1cece2cf46p-1', '0x1.7bab3bfad1105p-78', '-0x1.2c836366cc675p-6', 80, '0x1.4400000000000p-51'),
-    ('airy2', 3, True, False): ('0x1.f6b1cece2cf46p-1', '-0x1.85c4046c6c54ap-77', '-0x1.2c836366cc675p-6', 80, '0x1.4400000000008p-51'),
-    ('airy2', 3, False, True): ('0x1.f6b1cece2cf41p-1', '-0x1.47d2cee537e9ep-79', '-0x1.2c836366cc732p-6', 40, '0x0.0p+0'),
-    ('airy2', 3, False, False): ('0x1.f6b1cece2cf41p-1', '0x1.73202ef325d6cp-76', '-0x1.2c836366cc732p-6', 40, '0x0.0p+0'),
+    ('airy', 1, True, True): ('0x1.4f119f714a713p+0', '0x0.0p+0', '0x1.139e4cf1e21dbp-2', 80, '0x1.0000000000000p-51'),
+    ('airy', 1, True, False): ('0x1.4f119f714a713p+0', '0x0.0p+0', '0x1.139e4cf1e21dbp-2', 80, '0x1.0000000000000p-51'),
+    ('airy', 1, False, True): ('0x1.4f119f714a716p+0', '0x0.0p+0', '0x1.139e4cf1e21e6p-2', 40, '0x0.0p+0'),
+    ('airy', 1, False, False): ('0x1.4f119f714a716p+0', '0x0.0p+0', '0x1.139e4cf1e21e6p-2', 40, '0x0.0p+0'),
+    ('airy', 2, True, True): ('0x1.24e32df888b4ap+0', '0x1.f402df84a351ap-73', '0x1.13aedbb436239p-3', 80, '0x1.c000000000035p-50'),
+    ('airy', 2, True, False): ('0x1.24e32df888b4ap+0', '-0x1.5973181a8e5d6p-70', '0x1.13aedbb436239p-3', 80, '0x1.c0000000007f7p-50'),
+    ('airy', 2, False, True): ('0x1.24e32df888b52p+0', '-0x1.b9d6ad3f0c083p-96', '0x1.13aedbb436274p-3', 40, '0x0.0p+0'),
+    ('airy', 2, False, False): ('0x1.24e32df888b52p+0', '0x1.4955b29b25684p-73', '0x1.13aedbb436274p-3', 40, '0x0.0p+0'),
+    ('airy', 3, True, True): ('0x1.3431cb4ce7c12p+0', '0x1.39ea360d6b90bp-74', '0x1.7c038ea57a350p-3', 80, '0x1.c00000000053ep-53'),
+    ('airy', 3, True, False): ('0x1.3431cb4ce7c12p+0', '-0x1.657139874720cp-75', '0x1.7c038ea57a350p-3', 80, '0x1.c000000000017p-53'),
+    ('airy', 3, False, True): ('0x1.3431cb4ce7c13p+0', '-0x1.5a34c54771140p-74', '0x1.7c038ea57a356p-3', 40, '0x0.0p+0'),
+    ('airy', 3, False, False): ('0x1.3431cb4ce7c13p+0', '-0x1.72ee113878584p-76', '0x1.7c038ea57a356p-3', 40, '0x0.0p+0'),
+    ('airy2', 1, True, True): ('0x1.c0ca7a94f27dcp-1', '0x0.0p+0', '-0x1.0ddc1af8ec949p-3', 80, '0x0.0p+0'),
+    ('airy2', 1, True, False): ('0x1.c0ca7a94f27dcp-1', '0x0.0p+0', '-0x1.0ddc1af8ec949p-3', 80, '0x0.0p+0'),
+    ('airy2', 1, False, True): ('0x1.c0ca7a94f27dcp-1', '0x0.0p+0', '-0x1.0ddc1af8ec946p-3', 40, '0x0.0p+0'),
+    ('airy2', 1, False, False): ('0x1.c0ca7a94f27dcp-1', '0x0.0p+0', '-0x1.0ddc1af8ec946p-3', 40, '0x0.0p+0'),
+    ('airy2', 2, True, True): ('0x1.f8a21baae4fc9p-1', '-0x1.ef3b14fff4cc1p-75', '-0x1.dae5cf881062ep-7', 80, '0x1.4500000000001p-51'),
+    ('airy2', 2, True, False): ('0x1.f8a21baae4fc9p-1', '-0x1.99110ada173eap-74', '-0x1.dae5cf881062ep-7', 80, '0x1.450000000010cp-51'),
+    ('airy2', 2, False, True): ('0x1.f8a21baae4fc4p-1', '-0x1.2e1835f522a0ap-74', '-0x1.dae5cf8810768p-7', 40, '0x0.0p+0'),
+    ('airy2', 2, False, False): ('0x1.f8a21baae4fc4p-1', '-0x1.341829bfcc010p-72', '-0x1.dae5cf8810768p-7', 40, '0x0.0p+0'),
+    ('airy2', 3, True, True): ('0x1.f6b1cece2cf4bp-1', '0x1.5bfdc69d0c319p-79', '-0x1.2c836366cc5e1p-6', 80, '0x1.0800000000012p-52'),
+    ('airy2', 3, True, False): ('0x1.f6b1cece2cf4bp-1', '0x1.b4d75acfb1fa7p-78', '-0x1.2c836366cc5e1p-6', 80, '0x1.080000000005bp-52'),
+    ('airy2', 3, False, True): ('0x1.f6b1cece2cf4dp-1', '0x1.a7bec5f23c2b0p-76', '-0x1.2c836366cc591p-6', 40, '0x0.0p+0'),
+    ('airy2', 3, False, False): ('0x1.f6b1cece2cf4dp-1', '0x1.e5538dc942453p-75', '-0x1.2c836366cc591p-6', 40, '0x0.0p+0'),
 }
 _CONTOUR_GOLDENS = {
     1: ('0x1.56e2dd94b2ee9p-1', '-0x1.0d922ee56845dp-54', '-0x1.9a8c5a6e58668p-2', 240, '0x1.f0348ebe818afp-50'),
@@ -271,9 +278,10 @@ def test_refinement_cap_before_any_comparison(route):
 
 def test_nystrom_stack_matches_lone_dets():
     # r = 2 members with unequal shifts refine on their own and leave the stack on different
-    # passes; each keeps every bit of its lone nystrom_det, diagnostics included
+    # passes (80 nodes from S = -4 up, 160 at -6 and 320 at -12); each keeps every bit of its
+    # lone nystrom_det, diagnostics included
     c = CouplingMatrix(np.array([[0.6, 0.2], [0.2, 0.5]]))
-    shifts = [ShiftVector(np.array([S, S + 0.3])) for S in (-3.0, -1.5, 0.0, 1.0, -2.5)]
+    shifts = [ShiftVector(np.array([S, S + 0.3])) for S in (-6.0, -1.5, 0.0, 1.0, -12.0)]
     rules = [half_line_rule(40, half_line_cutoff(s)) for s in shifts]
 
     def kernel(idx, x, y):
@@ -283,7 +291,24 @@ def test_nystrom_stack_matches_lone_dets():
     lone = [nystrom_det(lambda x, y, s=s: matrix_airy_sq_kernel(x, y, s, c), 2, -1.0, rule)
             for s, rule in zip(shifts, rules)]
     assert [_hexes(d) + (d.converged,) for d in stack] == [_hexes(d) + (d.converged,) for d in lone]
-    assert len({d.nodes_used for d in lone}) > 1
+    assert len({d.nodes_used for d in lone}) == 3
+
+
+@pytest.mark.parametrize("z", [-1.0, 1.0])
+@pytest.mark.parametrize("S", [-8.0, -4.0, 0.0, 4.0])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_half_line_truncation(r, S, z):
+    # det(Id + z A_S) on [0, L] against 1.5 L at twice the nodes: the cutoff neglects
+    # nothing the refined rule sees.  The squared kernel is left out: at r = 2, S = -8 its
+    # det is 8e-7, where the 640-node reference's own rounding reads 4e-13 relative
+    sv, cv = _GOLDEN_CASES[r]
+    s, c = ShiftVector(S + sv - sv.mean()), CouplingMatrix(cv)
+    kernel = partial(matrix_airy_kernel, s=s, C=c)
+    cutoff = half_line_cutoff(s)
+    d = nystrom_det(kernel, r, z, half_line_rule(40, cutoff))
+    ref = nystrom_det(kernel, r, z, half_line_rule(2 * d.nodes_used, 1.5 * cutoff), refine=False)
+    assert d.converged
+    assert abs(d.value - ref.value) <= 1e-13 * abs(ref.value)
 
 
 def test_negative_contour_det_converges():
