@@ -278,9 +278,9 @@ def nystrom_det_contour(s: ShiftVector, C: CouplingMatrix, z: complex,
         d2 = np.diagonal(e2, axis1=1, axis2=2)
 
         # B[(i, l), (j, k)] = E1^T(lam_i) E2(lam_j) w_j / (lam_i + lam_j) with E2 diagonal,
-        # built in its (2m r, 2m r) layout.  einsum's product, not numpy's complex multiply,
-        # which differs by an ulp.
-        b = np.einsum("ikl,jk->iljk", e1, d2)
+        # built in its (2m r, 2m r) layout (order="C": einsum's own order would make the
+        # reshape copy).  einsum's product, not numpy's complex multiply, which differs by an ulp.
+        b = np.einsum("ikl,jk->iljk", e1, d2, order="C")
         b /= (lam[:, None] + lam[None, :])[:, None, :, None]
         b *= w[None, None, :, None]
         n = lam.size * s.r
