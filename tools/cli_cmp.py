@@ -7,7 +7,9 @@ quoting).  It runs as ``python -m ncairy ARGV`` with ``TREE/src`` on
 PYTHONPATH and NCAIRY_CONFIG unset, in a fresh directory that holds a copy of
 tools/cli_configs, so ``--config`` and ``--out`` take plain file names.  A
 run differs when its stdout, stderr, exit code or any file it writes differs
-between the trees.  Exit status: 0 when every run matches, 1 otherwise.
+between the trees.  Every differing line of such a stream is printed, with
+None for a line one side lacks.  Exit status: 0 when every run matches, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -65,9 +68,10 @@ def main(argv: list[str]) -> int:
             differ += 1
             print(f"DIFF ({', '.join(parts)}): {shlex.join(args)}")
             for k in parts:
-                x, y = _lines(a[k]), _lines(b[k])
-                i = next((i for i, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
-                print(f"  {k} line {i + 1}:\n    old {x[i:i + 1]}\n    new {y[i:i + 1]}")
+                pairs = zip_longest(_lines(a[k]), _lines(b[k]))
+                for i, (x, y) in enumerate(pairs):
+                    if x != y:
+                        print(f"  {k} line {i + 1}:\n    old {x!r}\n    new {y!r}")
     print(f"{len(runs)} runs, {differ} differ")
     return 1 if differ else 0
 
