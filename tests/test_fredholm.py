@@ -184,11 +184,13 @@ def test_refinement_on_a_general_interval():
 # contour symbols (numpy 2.4, OpenBLAS with 1 BLAS thread, x86-64); the shared
 # loop and the array-valued contour symbols must reproduce them bit for bit.
 # OpenBLAS splits its LU by thread count, so conftest.py pins it to 1.  The r = 1
-# coupling is real, so its block is real and takes a real LU; the refine=True
-# airy/airy2 values were re-pinned when that LU replaced the complex one.  Against
-# an mpmath (40 digits) determinant of the same float64 80-node block, the airy
-# value lies 1.15 ulp off (0.15 with the complex LU) and the airy2 value 0.08 ulp
-# (0.92 with the complex LU)
+# coupling is real, so its block is real and takes a real LU.  The half-line values
+# were re-pinned when the cutoff went from 40 + 4 max(0, -s_min) to 16 + 2 max(0, -s_min).
+# Against the operator's determinant from a 96-node rule on [0, cutoff + 6] in mpmath
+# (30 digits), the 40-node (refine=False) values lie 1.0-6.8 ulp off, where the old
+# ones lay 2.5-215 000 ulp off (airy r = 1: 215 000, r = 2: 3 400, r = 3: 2 000); the
+# refined 80-node values lie 0.2-5.8 ulp off, against 0.2-6.5 ulp before.  The new
+# value is the closer one in 9 of the 12 (kind, r, refine) cases
 _GOLDEN_CASES = {
     1: (np.array([-0.5]), np.array([[0.8]])),
     2: (np.array([0.0, 0.3]), np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])),
