@@ -131,8 +131,7 @@ def scalar_airy_kernel(a, b) -> np.ndarray:
         return float(_confluent(a, b, aa, aap) if near else out)
     if near.any():
         idx = np.nonzero(near)
-        a, b, aa, aap = (np.broadcast_to(v, out.shape)[idx] for v in (a, b, aa, aap))
-        out[idx] = _confluent(a, b, aa, aap)
+        out[idx] = _confluent(*(np.broadcast_to(v, out.shape)[idx] for v in (a, b, aa, aap)))
     return out
 
 
